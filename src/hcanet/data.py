@@ -58,11 +58,12 @@ def load_cube(path) -> np.ndarray:
         if code != DTYPE_F32LE:
             raise FormatError(f"{path}: unknown dtype code {code}")
         expected = 4 * h * w * b
-        payload = f.read(expected + 1)
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload has {min(len(payload), expected)} bytes at offset 24, expected {expected}"
-        )
+        found = os.fstat(f.fileno()).st_size - 24  # checked before reading: headers can lie
+        if found == expected:
+            payload = f.read(expected)
+            found = len(payload)
+    if found != expected:
+        raise FormatError(f"{path}: payload has {found} bytes at offset 24, expected {expected}")
     cube = np.frombuffer(payload, dtype="<f4").reshape(b, h, w)
     return np.ascontiguousarray(np.transpose(cube, (1, 2, 0)))
 

@@ -3,7 +3,10 @@
 PSNR is computed per band against a data range of 1.0 and averaged over
 bands (the MPSNR convention); a zero-MSE band contributes the documented cap
 of 100 dB.  SSIM uses the standard 11x11 Gaussian window (sigma 1.5,
-K1=0.01, K2=0.03, L=1) per band over valid windows only, then averages.
+K1=0.01, K2=0.03, L=1) per band over valid windows only, then averages.  The
+window is separable, so each windowed mean is two 1-D passes of the
+normalized 11-tap Gaussian (along H, then along W), each cropped to the valid
+windows; this equals the 2-D windowed sum up to float64 rounding.
 SAM is the mean per-pixel spectral angle in radians; zero-norm pixels are
 skipped and counted.  All computation is float64.
 """
@@ -61,15 +64,20 @@ def psnr(pred: np.ndarray, ref: np.ndarray) -> float:
 
 
 def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """The 1-D factor of the 2-D window: outer(g, g) is the normalized 2-D Gaussian."""
     r = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(r**2) / (2.0 * sigma**2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-def _windowed_mean(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    views = np.lib.stride_tricks.sliding_window_view(img, window.shape)
-    return np.einsum("ijkl,kl->ij", views, window, optimize=True)
+def _windowed_mean(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Weighted mean over every valid len(g) x len(g) window of a 2-D image."""
+    # imported on first use, so that importing the package does not pay for scipy.ndimage
+    from scipy.ndimage import correlate1d
+
+    r = len(g) // 2  # odd window: crop r outputs at each end to keep windows wholly inside
+    rows = correlate1d(img, g, axis=0, mode="constant")[r:-r]
+    return correlate1d(rows, g, axis=1, mode="constant")[:, r:-r]
 
 
 def ssim_per_band(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:

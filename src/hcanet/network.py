@@ -320,8 +320,3 @@ class HcaNet:
             raw = take(4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4)
             t.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
         return net
-
-
-def apply_ablation(config: NetworkConfig, seed: int = 0) -> HcaNet:
-    """Construct a network honoring the config's ablation switches."""
-    return HcaNet(config, seed=seed)

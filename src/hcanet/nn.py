@@ -10,6 +10,13 @@ strided slice of the padded input, combined with the matching kernel slice by
 a GEMM (or an elementwise product on the depthwise path).  Backward rules
 scatter gradients back through the same slices, so strides and dilations need
 no special casing.
+
+The multi-feature 3-D forward (the network's 1->F stem) works slab-wise: it
+gathers the taps of one output depth slice into a reused (N, K*F, H*W) column
+buffer and runs one GEMM per slice into the preallocated output, so its
+working memory is one depth slice of columns rather than the whole volume.
+Its backward still builds the full-volume columns; it only runs on training
+patches.
 """
 
 from __future__ import annotations
@@ -327,12 +334,17 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
         for t, ds_, rs, cs in taps():
             out[:, 0] += kdta[0, 0, t // (kh * kw), (t // kw) % kh, t % kw] * xp[:, 0, ds_, rs, cs]
     else:
-        ell = do * ho * wo
-        cols = np.empty((n, f * kd * kh * kw, ell), dtype=x.data.dtype)
-        for t, ds_, rs, cs in taps():
-            cols[:, t * f : (t + 1) * f, :] = xp[:, :, ds_, rs, cs].reshape(n, f, ell)
+        # one output depth slice at a time: im2col into a reused (N, K*F, H*W)
+        # slab and one GEMM per slice, written straight into the output
         km = kdta.transpose(0, 2, 3, 4, 1).reshape(out_f, -1)  # tap-major to match cols
-        out = np.matmul(km, cols).reshape(n, out_f, do, ho, wo)
+        cols = np.empty((n, km.shape[1], ho * wo), dtype=x.data.dtype)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
+        out = np.empty((n, out_f, do, ho, wo), dtype=np.result_type(km, cols))
+        out_slices = out.reshape(n, out_f, do, ho * wo)
+        for d in range(do):
+            # (N, F, H, W, kD, kH, kW) -> rows ordered tap-major, then feature
+            np.copyto(cols.reshape(n, kd, kh, kw, f, ho, wo), windows[:, :, d].transpose(0, 4, 5, 6, 1, 2, 3))
+            np.matmul(km, cols, out=out_slices[:, :, d])
     if w.bias is not None:
         out = out + w.bias.data.reshape(1, out_f, 1, 1, 1)
     parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)

@@ -136,12 +136,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def is_leaf(self) -> bool:
-        return self.node is None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -417,8 +411,3 @@ def backward(loss: Tensor) -> None:
             grads[id(p)] = pg if acc is None else acc + pg
     for t in order:  # free the tape
         t.node = None
-
-
-# -- spec-facing aliases -------------------------------------------------------
-
-mul = mul_elementwise

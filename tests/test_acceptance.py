@@ -221,6 +221,7 @@ def test_criterion_06_noise_cases_in_declared_bounds(case_hashes):
     assert time.monotonic() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_07_toy_training_beats_noisy_baseline(toy_run):
     result, elapsed, _ = toy_run
     assert elapsed < 1800.0
@@ -231,6 +232,7 @@ def test_criterion_07_toy_training_beats_noisy_baseline(toy_run):
     assert violations <= 1, f"losses not near-monotone: {losses}"
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_ordering(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("ablation")
     variants = [
@@ -255,6 +257,7 @@ def test_criterion_09_parameter_budget():
     assert abs(count - target) <= 0.15 * target, count
 
 
+@pytest.mark.slow
 def test_criterion_10_bitwise_reproducibility(toy_run, case_hashes, data_dir, tmp_path_factory):
     result_a, _, out_a = toy_run
     out_b = tmp_path_factory.mktemp("toy_run_b")

@@ -87,6 +87,18 @@ def test_simulate_missing_input_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_lying_header_exits_3(tmp_path, capsys):
+    import struct
+
+    from hcanet.data import CUBE_MAGIC, CUBE_VERSION, DTYPE_F32LE
+
+    src = tmp_path / "lying.hsic"  # valid header claiming 65535x65535x31, no payload
+    src.write_bytes(CUBE_MAGIC + struct.pack("<IIIII", CUBE_VERSION, 65535, 65535, 31, DTYPE_F32LE))
+    code = main(["simulate", "--in", str(src), "--case", "g30", "--out", str(tmp_path / "x.hsic")])
+    assert code == 3
+    assert "expected 532559691900" in capsys.readouterr().err
+
+
 def test_simulate_g30_matches_closed_form_psnr(tmp_path, capsys):
     src = write_cube(tmp_path, "clean.hsic", h=64, w=64, b=8, seed=1)
     out = str(tmp_path / "noisy.hsic")

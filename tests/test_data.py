@@ -28,6 +28,29 @@ class TestCubeFile:
         with pytest.raises(FormatError, match="expected 1024"):
             data.load_cube(p)
 
+    def test_header_extents_checked_before_reading(self, tmp_path):
+        import struct
+        import tracemalloc
+
+        p = tmp_path / "lying.hsic"  # valid header claiming 65535x65535x31, no payload
+        p.write_bytes(data.CUBE_MAGIC + struct.pack("<IIIII", data.CUBE_VERSION, 65535, 65535, 31,
+                                                    data.DTYPE_F32LE))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload has 0 bytes .* expected 532559691900"):
+                data.load_cube(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "c.hsic"
+        data.save_cube(rand_cube(), p)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="payload has 1025 bytes .* expected 1024"):
+            data.load_cube(p)
+
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.hsic"
         p.write_bytes(b"JUNK" + b"\x00" * 40)

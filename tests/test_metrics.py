@@ -83,6 +83,39 @@ class TestSsim:
         want = np.mean([ssim_loop_oracle(p[:, :, b], r[:, :, b]) for b in range(2)])
         assert abs(got - want) < 1e-6
 
+    @pytest.mark.parametrize("shape", [(13, 17, 3), (11, 11, 2), (11, 14, 2)])
+    def test_per_band_matches_loop_oracle(self, shape):
+        rng = np.random.default_rng(16)
+        p, r = rng.random(shape), rng.random(shape)
+        want = [ssim_loop_oracle(p[:, :, b], r[:, :, b]) for b in range(shape[2])]
+        np.testing.assert_allclose(metrics.ssim_per_band(p, r), want, rtol=0, atol=1e-10)
+
+    def test_float32_inputs_match_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        p, r = rng.random((16, 12, 2), dtype=np.float32), rng.random((16, 12, 2), dtype=np.float32)
+        want = [ssim_loop_oracle(p[:, :, b].astype(np.float64), r[:, :, b].astype(np.float64)) for b in range(2)]
+        np.testing.assert_allclose(metrics.ssim_per_band(p, r), want, rtol=0, atol=1e-10)
+
+    def test_per_band_matches_2d_window_formula(self):
+        """The separable passes equal the 11x11 window applied as one 2-D sum."""
+        rng = np.random.default_rng(18)
+        p, r = rng.random((64, 64, 4)), rng.random((64, 64, 4))
+        g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2 * 1.5**2))
+        win = np.outer(g, g) / np.outer(g, g).sum()
+
+        def mean(img):
+            views = np.lib.stride_tricks.sliding_window_view(img, win.shape)
+            return np.einsum("ijkl,kl->ij", views, win)
+
+        c1, c2 = 0.01**2, 0.03**2
+        want = []
+        for b in range(4):
+            pb, rb = p[:, :, b], r[:, :, b]
+            mp, mr = mean(pb), mean(rb)
+            vp, vr, cov = mean(pb * pb) - mp**2, mean(rb * rb) - mr**2, mean(pb * rb) - mp * mr
+            want.append(np.mean((2 * mp * mr + c1) * (2 * cov + c2) / ((mp**2 + mr**2 + c1) * (vp + vr + c2))))
+        np.testing.assert_allclose(metrics.ssim_per_band(p, r), want, rtol=0, atol=1e-10)
+
     def test_symmetric(self):
         rng = np.random.default_rng(7)
         p, r = rng.random((16, 16, 3)), rng.random((16, 16, 3))

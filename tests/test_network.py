@@ -6,7 +6,7 @@ import pytest
 from hcanet.cafm import CafmWeights
 from hcanet.errors import ConfigError, FormatError, ShapeError
 from hcanet.msfn import FfnWeights, MsfnWeights
-from hcanet.network import HcaNet, NetworkConfig, apply_ablation, desk_config, paper_config
+from hcanet.network import HcaNet, NetworkConfig, desk_config, paper_config
 from hcanet.tensor import Tensor, backward, sum_all
 
 
@@ -117,25 +117,25 @@ class TestAblation:
         ]
 
     def test_base_structure(self):
-        net = apply_ablation(self.ladder()[0], seed=0)
+        net = HcaNet(self.ladder()[0], seed=0)
         blk = net.enc_blocks[0][0]
         assert isinstance(blk.ffn, FfnWeights)
         assert isinstance(blk.cafm, CafmWeights) and not blk.cafm.local_enabled
         assert net.stem_3d.kernel.shape[2] == 1  # no spectral extent
 
     def test_param_count_strictly_increases(self):
-        counts = [apply_ablation(cfg, seed=0).param_count() for cfg in self.ladder()]
+        counts = [HcaNet(cfg, seed=0).param_count() for cfg in self.ladder()]
         assert counts == sorted(counts) and len(set(counts)) == 4, counts
 
     def test_variants_produce_distinct_outputs(self):
         x = np.random.default_rng(6).random((8, 8, 4)).astype(np.float32)
-        outs = [apply_ablation(cfg, seed=0).denoise(x) for cfg in self.ladder()]
+        outs = [HcaNet(cfg, seed=0).denoise(x) for cfg in self.ladder()]
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
                 assert not np.allclose(outs[i], outs[j])
 
     def test_full_config_uses_msfn(self):
-        net = apply_ablation(self.ladder()[3], seed=0)
+        net = HcaNet(self.ladder()[3], seed=0)
         assert isinstance(net.enc_blocks[0][0].ffn, MsfnWeights)
         assert net.stem_3d.kernel.shape[2] == 3
 

@@ -145,6 +145,42 @@ class TestConv3d:
         np.testing.assert_allclose(y2[:, 0], y1[:, 0], atol=1e-5)
         np.testing.assert_allclose(y2[:, 1], y1[:, 0], atol=1e-5)
 
+    @pytest.mark.parametrize("in_f,out_f,bias", [(1, 16, False), (2, 3, True)])
+    def test_multifeature_matches_direct_loop(self, in_f, out_f, bias):
+        # stem-shaped: 3x3x3 kernel, padding (1, 1, 1), batch > 1, H != W
+        gen = rng()
+        x = gen.standard_normal((2, in_f, 5, 9, 10)).astype(np.float32)
+        w = nn.init_conv3d(gen, in_f, out_f, bias=bias)
+        if bias:
+            w.bias.data[:] = gen.standard_normal(out_f)
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+        k = w.kernel.data.astype(np.float64)
+        want = np.zeros((2, out_f, 5, 9, 10))
+        for a in range(3):
+            for b in range(3):
+                for c in range(3):
+                    want += np.einsum("of,nfdhw->nodhw", k[:, :, a, b, c], xp[:, :, a : a + 5, b : b + 9, c : c + 10])
+        if bias:
+            want += w.bias.data.reshape(1, out_f, 1, 1, 1)
+        np.testing.assert_allclose(nn.conv3d(Tensor(x), w).data, want, rtol=0, atol=1e-5)
+
+    def test_stem_forward_peak_memory_is_slab_sized(self):
+        import tracemalloc
+
+        from hcanet.tensor import no_grad
+
+        x = Tensor(rng().standard_normal((1, 1, 31, 64, 64)).astype(np.float32))
+        w = nn.init_conv3d(rng(), 1, 16)
+        with no_grad():
+            tracemalloc.start()
+            try:
+                y = nn.conv3d(x, w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a whole-volume im2col would hold 27/16 of the output on top of it
+        assert peak < 1.5 * y.data.nbytes
+
 
 class TestChannelShuffle:
     def test_c4_g2_order(self):
