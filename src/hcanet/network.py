@@ -251,14 +251,6 @@ class HcaNet:
             y = self.denoise_batch(Tensor(x)).data
         return np.ascontiguousarray(np.transpose(y[0], (1, 2, 0)))
 
-    def residual(self, cube: np.ndarray) -> np.ndarray:
-        if cube.ndim != 3:
-            raise ShapeError(f"expected a (H, W, B) cube, got shape {cube.shape}")
-        x = np.ascontiguousarray(np.transpose(cube, (2, 0, 1))[None])
-        with no_grad():
-            y = self.forward(Tensor(x)).data
-        return np.ascontiguousarray(np.transpose(y[0], (1, 2, 0)))
-
     # -- checkpoints ----------------------------------------------------------
 
     def save(self, path) -> None:

@@ -5,11 +5,23 @@ multi-feature 3-D convolutions, 2x2 transposed convolution, channel shuffle,
 down/upsampling, and per-channel layer normalization.  All kernels follow the
 cross-correlation convention and zero padding.
 
-Convolutions are evaluated as a tap loop over kernel offsets: each tap is a
-strided slice of the padded input, combined with the matching kernel slice by
-a GEMM (or an elementwise product on the depthwise path).  Backward rules
-scatter gradients back through the same slices, so strides and dilations need
-no special casing.
+Every stride-1 convolution except the 3-D stem runs on a flat-shift layout
+(``_FlatTaps``): the input is zero-padded once, its spatial axes are flattened
+into one, and a few zeros of slack follow, so each kernel tap reads one
+contiguous slice ``xf[..., off : off + L]``.  Those slices cover a *wide*
+output grid that keeps the padded extent of every spatial axis but the first;
+the result is cropped to the true output at the end.  Per tap, the 1->1 3-D
+conv and the depthwise conv do one multiply-add and the dense conv does one
+GEMM over the slice, which BLAS reads in place.  Taps whose window lies wholly
+in the padding (dilated convs on maps no larger than the dilation) are skipped.  Backward embeds the output
+gradient into the wide grid with zeros in the extra positions and scatters it
+through the same slices into a flat input gradient, reusing the forward's
+padded input; no column buffer is built in either direction.
+
+Strided or grouped 2-D convolutions (the downsample; strided depthwise) keep
+im2col: each tap is a strided slice of the padded input copied into a
+(N, C, K, Ho*Wo) column buffer, combined with the kernel by one GEMM (grouped:
+one einsum), and scattered back through the same slices in backward.
 
 The multi-feature 3-D forward (the network's 1->F stem) works slab-wise: it
 gathers the taps of one output depth slice into a reused (N, K*F, H*W) column
@@ -164,6 +176,62 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
+class _FlatTaps:
+    """Flat-shift layout of ``x`` for a stride-1 convolution over its trailing axes.
+
+    ``pad`` and ``ksize`` hold one entry per convolved axis.  ``xf`` is ``x``
+    zero-padded, flattened over those axes and followed by slack zeros, so
+    that kernel tap ``t`` (row-major tap order) reads the contiguous slice
+    ``xf[..., offs[t] : offs[t] + ell]``.  That slice covers the wide output
+    grid ``wide``: the first convolved axis at its output extent, the others
+    at their padded extent.  Only the taps in ``live`` need to be visited.
+    """
+
+    def __init__(self, x: np.ndarray, pad: tuple[int, ...], ksize: tuple[int, ...], dil: int = 1):
+        k = len(ksize)
+        self.pad = pad
+        self.padded = tuple(e + 2 * q for e, q in zip(x.shape[-k:], pad))
+        self.out = tuple(e - dil * (kk - 1) for e, kk in zip(self.padded, ksize))
+        self.wide = self.out[:1] + self.padded[1:]
+        self.valid = (Ellipsis,) + tuple(slice(0, o) for o in self.out[1:])  # true outputs in the wide grid
+        self.ell = int(np.prod(self.wide))
+        self.size = int(np.prod(self.padded))
+        strides = [int(np.prod(self.padded[i + 1 :])) for i in range(k)]
+        # the last wide position plus the largest offset must stay in bounds
+        slack = dil * sum((kk - 1) * st for kk, st in zip(ksize[1:], strides[1:]))
+        taps = list(np.ndindex(*ksize))
+        self.offs = [dil * sum(i * st for i, st in zip(tap, strides)) for tap in taps]
+        # taps whose input window lies wholly in the padding add exact zeros (dilated
+        # convs on the smallest feature maps); keep one so results keep their shape
+        self.live = [
+            t for t, tap in enumerate(taps)
+            if all(i * dil - q < e and i * dil - q + o > 0 for i, q, e, o in zip(tap, pad, x.shape[-k:], self.out))
+        ] or [0]
+        self.xf = np.zeros(x.shape[:-k] + (self.size + slack,), dtype=x.dtype)
+        self.interior(self.xf)[...] = x
+
+    def tap(self, buf: np.ndarray, t: int) -> np.ndarray:
+        """Tap t's slice of a flat buffer shaped like ``xf``."""
+        return buf[..., self.offs[t] : self.offs[t] + self.ell]
+
+    def interior(self, buf: np.ndarray) -> np.ndarray:
+        """View of the unpadded input positions of a flat buffer shaped like ``xf``."""
+        grid = buf[..., : self.size].reshape(buf.shape[:-1] + self.padded)
+        return grid[(Ellipsis,) + tuple(slice(q, e - q) for q, e in zip(self.pad, self.padded))]
+
+    def crop(self, y: np.ndarray) -> np.ndarray:
+        """Contiguous true output of a wide result y: (..., ell)."""
+        grid = y.reshape(y.shape[:-1] + self.wide)
+        return np.ascontiguousarray(grid[self.valid])
+
+    def embed(self, g: np.ndarray) -> np.ndarray:
+        """Output gradient g: (..., *out) as a flat wide grid with zeros in the extra positions."""
+        lead = g.shape[: g.ndim - len(self.out)]
+        wide = np.zeros(lead + self.wide, dtype=g.dtype)
+        wide[self.valid] = g
+        return wide.reshape(lead + (self.ell,))
+
+
 def _taps2d(kh: int, kw: int, stride: int, dil: int, ho: int, wo: int):
     """Yield (tap index, row slice, col slice) touching the padded input."""
     for ki in range(kh):
@@ -176,8 +244,9 @@ def _taps2d(kh: int, kw: int, stride: int, dil: int, ho: int, wo: int):
 def _im2col(xp: np.ndarray, kh, kw, stride, dil, ho, wo) -> np.ndarray:
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kh * kw, ho * wo), dtype=xp.dtype)
+    grid = cols.reshape(n, c, kh * kw, ho, wo)
     for t, rs, cs in _taps2d(kh, kw, stride, dil, ho, wo):
-        cols[:, :, t, :] = xp[:, :, rs, cs].reshape(n, c, -1)
+        grid[:, :, t] = xp[:, :, rs, cs]
     return cols
 
 
@@ -199,8 +268,8 @@ def conv2d(x: Tensor, w: Conv2dWeights) -> Tensor:
 
     if kh == kw == 1 and s == 1 and p == 0 and g == 1:
         return _conv1x1(x, w, n, c, out_c, h, wd)
-    if g == c and cg == 1 and out_c == c:
-        return _conv_depthwise(x, w, n, c, h, wd, kh, kw, s, d, p, ho, wo)
+    if g == c and cg == 1 and out_c == c and s == 1:
+        return _conv_depthwise(x, w, kh, kw, d, p)
     return _conv_gemm(x, w, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo)
 
 
@@ -227,32 +296,82 @@ def _conv1x1(x: Tensor, w: Conv2dWeights, n, c, out_c, h, wd) -> Tensor:
     return Tensor._from_op(out, "conv1x1", parents, vjp)
 
 
-def _conv_depthwise(x: Tensor, w: Conv2dWeights, n, c, h, wd, kh, kw, s, d, p, ho, wo) -> Tensor:
-    xp = _pad2d(x.data, p)
-    kd = w.kernel.data  # (C, 1, kh, kw)
-    out = np.zeros((n, c, ho, wo), dtype=x.data.dtype)
-    for t, rs, cs in _taps2d(kh, kw, s, d, ho, wo):
-        out += kd[:, 0, t // kw, t % kw].reshape(1, c, 1, 1) * xp[:, :, rs, cs]
+def _conv_depthwise(x: Tensor, w: Conv2dWeights, kh, kw, d, p) -> Tensor:
+    """Stride-1 depthwise conv (groups == C)."""
+    return _conv_per_channel(x, w, (p, p), (kh, kw), d, "conv_dw")
+
+
+def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, dil, op: str) -> Tensor:
+    """Stride-1 conv with one filter per channel: one multiply-add per tap over flat slices.
+
+    x: (N, C, *spatial), kernel: (C, 1, *ksize).  Serves the depthwise 2-D conv
+    and the 1->1 3-D conv (C == 1, three spatial axes).
+    """
+    ft = _FlatTaps(x.data, pad, ksize, dil)
+    c = x.shape[1]
+    kd = w.kernel.data
+    taps = kd.reshape(c, -1, 1)
+    out = np.zeros(x.shape[:2] + (ft.ell,), dtype=x.data.dtype)
+    for t in ft.live:
+        out += taps[:, t] * ft.tap(ft.xf, t)
+    out = ft.crop(out)
     if w.bias is not None:
-        out = out + w.bias.data.reshape(1, c, 1, 1)
+        out = out + w.bias.data.reshape((1, c) + (1,) * len(ksize))
     parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
 
     def vjp(g):
-        gw = np.empty_like(kd)
-        gxp = np.zeros_like(xp)
-        for t, rs, cs in _taps2d(kh, kw, s, d, ho, wo):
-            xs = xp[:, :, rs, cs]
-            gw[:, 0, t // kw, t % kw] = np.sum(g * xs, axis=(0, 2, 3))
-            gxp[:, :, rs, cs] += kd[:, 0, t // kw, t % kw].reshape(1, c, 1, 1) * g
-        gx = gxp[:, :, p : p + h, p : p + wd] if p else gxp
+        gwide = ft.embed(g)
+        gk = np.zeros_like(kd)
+        gtaps = gk.reshape(c, -1)
+        gxf = np.zeros_like(ft.xf)
+        for t in ft.live:
+            gtaps[:, t] = np.einsum("ncl,ncl->c", gwide, ft.tap(ft.xf, t))
+            ft.tap(gxf, t)[...] += taps[:, t] * gwide
+        gx = ft.interior(gxf)
         if w.bias is None:
-            return gx, gw
-        return gx, gw, _bias_vjp(g)
+            return gx, gk
+        return gx, gk, g.sum(axis=(0,) + tuple(range(2, g.ndim)))
 
-    return Tensor._from_op(out, "conv_dw", parents, vjp)
+    return Tensor._from_op(out, op, parents, vjp)
 
 
 def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo) -> Tensor:
+    """Dense stride-1 conv: one GEMM per tap, reading each flat tap slice in place."""
+    if s != 1 or g != 1:
+        return _conv_im2col(x, w, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo)
+    ft = _FlatTaps(x.data, (p, p), (kh, kw), d)
+    kd = w.kernel.data  # (O, C, kh, kw)
+    first = ft.live[0]
+    out = np.matmul(np.ascontiguousarray(kd[:, :, first // kw, first % kw]), ft.tap(ft.xf, first))
+    prod = np.empty_like(out)
+    for t in ft.live[1:]:
+        ki, kj = divmod(t, kw)
+        out += np.matmul(np.ascontiguousarray(kd[:, :, ki, kj]), ft.tap(ft.xf, t), out=prod)
+    del prod
+    out = ft.crop(out)
+    if w.bias is not None:
+        out = out + w.bias.data.reshape(1, out_c, 1, 1)
+    parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
+
+    def vjp(g_out):
+        gwide = ft.embed(g_out)  # (N, O, L)
+        gk = np.zeros_like(kd)
+        gxf = np.zeros_like(ft.xf)
+        prod = np.empty((n, c, ft.ell), dtype=gxf.dtype)
+        for t in ft.live:
+            ki, kj = divmod(t, kw)
+            gk[:, :, ki, kj] = np.matmul(gwide, ft.tap(ft.xf, t).transpose(0, 2, 1)).sum(axis=0)
+            ft.tap(gxf, t)[...] += np.matmul(np.ascontiguousarray(kd[:, :, ki, kj]).T, gwide, out=prod)
+        gx = ft.interior(gxf)
+        if w.bias is None:
+            return gx, gk
+        return gx, gk, _bias_vjp(g_out)
+
+    return Tensor._from_op(out, "conv2d", parents, vjp)
+
+
+def _conv_im2col(x: Tensor, w: Conv2dWeights, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo) -> Tensor:
+    """Strided or grouped conv through an im2col column buffer."""
     xp = _pad2d(x.data, p)
     kd = w.kernel.data
     k2 = kh * kw
@@ -320,6 +439,8 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
     wo = wd + 2 * pw - kw + 1
     if min(do, ho, wo) <= 0:
         raise ShapeError(f"conv3d: empty output for input {x.shape} kernel {w.kernel.shape}")
+    if f == 1 and out_f == 1:
+        return _conv_per_channel(x, w, w.padding, (kd, kh, kw), 1, "conv3d")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw))) if (pd or ph or pw) else x.data
     kdta = w.kernel.data
 
@@ -329,22 +450,17 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
                 for cc in range(kw):
                     yield (a * kh + b) * kw + cc, slice(a, a + do), slice(b, b + ho), slice(cc, cc + wo)
 
-    if f == 1 and out_f == 1:
-        out = np.zeros((n, 1, do, ho, wo), dtype=x.data.dtype)
-        for t, ds_, rs, cs in taps():
-            out[:, 0] += kdta[0, 0, t // (kh * kw), (t // kw) % kh, t % kw] * xp[:, 0, ds_, rs, cs]
-    else:
-        # one output depth slice at a time: im2col into a reused (N, K*F, H*W)
-        # slab and one GEMM per slice, written straight into the output
-        km = kdta.transpose(0, 2, 3, 4, 1).reshape(out_f, -1)  # tap-major to match cols
-        cols = np.empty((n, km.shape[1], ho * wo), dtype=x.data.dtype)
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-        out = np.empty((n, out_f, do, ho, wo), dtype=np.result_type(km, cols))
-        out_slices = out.reshape(n, out_f, do, ho * wo)
-        for d in range(do):
-            # (N, F, H, W, kD, kH, kW) -> rows ordered tap-major, then feature
-            np.copyto(cols.reshape(n, kd, kh, kw, f, ho, wo), windows[:, :, d].transpose(0, 4, 5, 6, 1, 2, 3))
-            np.matmul(km, cols, out=out_slices[:, :, d])
+    # one output depth slice at a time: im2col into a reused (N, K*F, H*W)
+    # slab and one GEMM per slice, written straight into the output
+    km = kdta.transpose(0, 2, 3, 4, 1).reshape(out_f, -1)  # tap-major to match cols
+    cols = np.empty((n, km.shape[1], ho * wo), dtype=x.data.dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
+    out = np.empty((n, out_f, do, ho, wo), dtype=np.result_type(km, cols))
+    out_slices = out.reshape(n, out_f, do, ho * wo)
+    for d in range(do):
+        # (N, F, H, W, kD, kH, kW) -> rows ordered tap-major, then feature
+        np.copyto(cols.reshape(n, kd, kh, kw, f, ho, wo), windows[:, :, d].transpose(0, 4, 5, 6, 1, 2, 3))
+        np.matmul(km, cols, out=out_slices[:, :, d])
     if w.bias is not None:
         out = out + w.bias.data.reshape(1, out_f, 1, 1, 1)
     parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
@@ -352,24 +468,18 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
     def vjp(g):
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(kdta)
-        if f == 1 and out_f == 1:
-            g0 = g[:, 0]
-            for t, ds_, rs, cs in taps():
-                xs = xp[:, 0, ds_, rs, cs]
-                gw[0, 0, t // (kh * kw), (t // kw) % kh, t % kw] = np.sum(g0 * xs)
-                gxp[:, 0, ds_, rs, cs] += kdta[0, 0, t // (kh * kw), (t // kw) % kh, t % kw] * g0
-        else:
-            ell = do * ho * wo
-            gf = g.reshape(n, out_f, ell)
-            cols_b = np.empty((n, f * kd * kh * kw, ell), dtype=xp.dtype)
-            for t, ds_, rs, cs in taps():
-                cols_b[:, t * f : (t + 1) * f, :] = xp[:, :, ds_, rs, cs].reshape(n, f, ell)
-            gkm = np.matmul(gf, cols_b.transpose(0, 2, 1)).sum(axis=0)  # (outF, K*F)
-            gw[:] = gkm.reshape(out_f, kd, kh, kw, f).transpose(0, 4, 1, 2, 3)
-            km = kdta.transpose(0, 2, 3, 4, 1).reshape(out_f, -1)
-            gcols = np.matmul(km.T, gf)  # (N, K*F, L)
-            for t, ds_, rs, cs in taps():
-                gxp[:, :, ds_, rs, cs] += gcols[:, t * f : (t + 1) * f, :].reshape(n, f, do, ho, wo)
+        ell = do * ho * wo
+        gf = g.reshape(n, out_f, ell)
+        cols_b = np.empty((n, f * kd * kh * kw, ell), dtype=xp.dtype)
+        grid_b = cols_b.reshape(n, f * kd * kh * kw, do, ho, wo)
+        for t, ds_, rs, cs in taps():
+            grid_b[:, t * f : (t + 1) * f] = xp[:, :, ds_, rs, cs]
+        gkm = np.matmul(gf, cols_b.transpose(0, 2, 1)).sum(axis=0)  # (outF, K*F)
+        gw[:] = gkm.reshape(out_f, kd, kh, kw, f).transpose(0, 4, 1, 2, 3)
+        km = kdta.transpose(0, 2, 3, 4, 1).reshape(out_f, -1)
+        gcols = np.matmul(km.T, gf)  # (N, K*F, L)
+        for t, ds_, rs, cs in taps():
+            gxp[:, :, ds_, rs, cs] += gcols[:, t * f : (t + 1) * f, :].reshape(n, f, do, ho, wo)
         gx = gxp[:, :, pd : pd + dd, ph : ph + h, pw : pw + wd] if (pd or ph or pw) else gxp
         if w.bias is None:
             return gx, gw

@@ -18,7 +18,6 @@ import contextlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericsError, ShapeError
 
@@ -289,6 +288,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU x * Phi(x) with the standard normal CDF (erf form)."""
+    # imported on first use, so that importing the package does not pay for scipy.special
+    from scipy.special import erf
+
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
 

@@ -313,3 +313,18 @@ def test_no_subcommand_exits_2(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "hcanet" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy_submodule():
+    # scipy.special (GELU) and scipy.ndimage (SSIM) are imported on first use,
+    # so commands that never call them do not pay for the import
+    import subprocess
+    import sys
+
+    import hcanet
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hcanet.__file__)))
+    code = "import sys, hcanet.cli; print(sorted(m for m in ('scipy.special', 'scipy.ndimage') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

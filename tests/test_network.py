@@ -41,20 +41,19 @@ class TestForward:
     def test_residual_shape_64x64x8(self):
         net = HcaNet(desk_config(bands=8), seed=0)
         cube = np.random.default_rng(0).standard_normal((64, 64, 8)).astype(np.float32)
-        assert net.residual(cube).shape == (64, 64, 8)
+        assert net.denoise(cube).shape == (64, 64, 8)
 
     def test_zero_tail_zero_residual_and_identity(self):
         net = HcaNet(tiny_config(), seed=1)
         net.tail.kernel.data[...] = 0.0
         cube = np.random.default_rng(1).random((8, 8, 4)).astype(np.float32)
-        np.testing.assert_array_equal(net.residual(cube), 0.0)
         out = net.denoise(cube)
         assert np.array_equal(out.view(np.uint32), cube.view(np.uint32))
 
     def test_indivisible_extent_raises(self):
         net = HcaNet(desk_config(bands=4), seed=0)  # 3 levels -> need /4
         with pytest.raises(ShapeError):
-            net.residual(np.zeros((10, 12, 4), dtype=np.float32))
+            net.denoise(np.zeros((10, 12, 4), dtype=np.float32))
 
     def test_band_mismatch_raises(self):
         net = HcaNet(tiny_config(), seed=0)

@@ -182,6 +182,202 @@ class TestConv3d:
         assert peak < 1.5 * y.data.nbytes
 
 
+def direct_conv2d(x, k, *, stride=1, dil=1, pad=0, groups=1):
+    """Float64 reference: one einsum per tap over strided slices of the padded input."""
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    n, _, hp, wp = xp.shape
+    o, cg, kh, kw = k.shape
+    og = o // groups
+    ho, wo = (hp - dil * (kh - 1) - 1) // stride + 1, (wp - dil * (kw - 1) - 1) // stride + 1
+    out = np.zeros((n, o, ho, wo))
+    for gi in range(groups):
+        for i in range(kh):
+            for j in range(kw):
+                xs = xp[:, gi * cg : (gi + 1) * cg, i * dil : i * dil + stride * ho : stride,
+                        j * dil : j * dil + stride * wo : stride]
+                kt = k[gi * og : (gi + 1) * og, :, i, j].astype(np.float64)
+                out[:, gi * og : (gi + 1) * og] += np.einsum("oc,nchw->nohw", kt, xs)
+    return out
+
+
+def direct_conv2d_vjp(x, k, g, *, stride=1, dil=1, pad=0, groups=1):
+    """Float64 reference gradients (gx, gk) of direct_conv2d for output gradient g."""
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    g = g.astype(np.float64)
+    o, cg, kh, kw = k.shape
+    og = o // groups
+    ho, wo = g.shape[2:]
+    gxp = np.zeros_like(xp)
+    gk = np.zeros(k.shape)
+    for gi in range(groups):
+        go = g[:, gi * og : (gi + 1) * og]
+        for i in range(kh):
+            for j in range(kw):
+                idx = (slice(None), slice(gi * cg, (gi + 1) * cg),
+                       slice(i * dil, i * dil + stride * ho, stride), slice(j * dil, j * dil + stride * wo, stride))
+                gk[gi * og : (gi + 1) * og, :, i, j] = np.einsum("nohw,nchw->oc", go, xp[idx])
+                gxp[idx] += np.einsum("oc,nohw->nchw", k[gi * og : (gi + 1) * og, :, i, j].astype(np.float64), go)
+    h, w = x.shape[2:]
+    return gxp[:, :, pad : pad + h, pad : pad + w], gk
+
+
+def check_conv2d_against_direct(x, w):
+    """Forward and vjp of nn.conv2d within 1e-5 of the float64 direct loop."""
+    kw_ = dict(stride=w.stride, dil=w.dilation, pad=w.padding, groups=w.groups)
+    k = w.kernel.data
+    xt = Tensor(x, requires_grad=True)
+    y = nn.conv2d(xt, w)
+    want = direct_conv2d(x, k, **kw_)
+    if w.bias is not None:
+        want += w.bias.data.reshape(1, -1, 1, 1)
+    np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-5)
+    g = np.random.default_rng(7).standard_normal(y.shape).astype(np.float32)
+    grads = y.node.vjp(g)
+    gx, gk = direct_conv2d_vjp(x, k, g, **kw_)
+    # kernel gradients sum hundreds of float32 products, hence the relative term
+    np.testing.assert_allclose(grads[0], gx, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(grads[1], gk, rtol=1e-5, atol=1e-5)
+    if w.bias is not None:
+        np.testing.assert_allclose(grads[2], g.astype(np.float64).sum(axis=(0, 2, 3)), rtol=1e-5, atol=1e-5)
+
+
+def direct_conv3d_1to1(x, k, pad):
+    """Float64 reference for a single-feature 3-D conv, with its vjp as a closure."""
+    xp = np.pad(x[:, 0].astype(np.float64), ((0, 0),) + tuple((q, q) for q in pad))
+    kd, kh, kw = k.shape[2:]
+    do, ho, wo = (e - kk + 1 for e, kk in zip(xp.shape[1:], (kd, kh, kw)))
+    taps = [(a, b, c) for a in range(kd) for b in range(kh) for c in range(kw)]
+
+    def window(a, b, c):
+        return (slice(None), slice(a, a + do), slice(b, b + ho), slice(c, c + wo))
+
+    out = sum(float(k[0, 0, a, b, c]) * xp[window(a, b, c)] for a, b, c in taps)
+
+    def vjp(g):
+        g = g[:, 0].astype(np.float64)
+        gxp = np.zeros_like(xp)
+        gk = np.zeros(k.shape)
+        for a, b, c in taps:
+            gk[0, 0, a, b, c] = np.sum(g * xp[window(a, b, c)])
+            gxp[window(a, b, c)] += float(k[0, 0, a, b, c]) * g
+        d, h, w = x.shape[2:]
+        return gxp[:, pad[0] : pad[0] + d, pad[1] : pad[1] + h, pad[2] : pad[2] + w][:, None], gk
+
+    return out[:, None], vjp
+
+
+def tap_loop_conv3d_1to1(x, k, pad):
+    """The strided-slice tap loop the 1->1 conv3d forward used before the flat layout."""
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((q, q) for q in pad))
+    kd, kh, kw = k.shape[2:]
+    n, _, dd, h, wd = x.shape
+    do, ho, wo = dd + 2 * pad[0] - kd + 1, h + 2 * pad[1] - kh + 1, wd + 2 * pad[2] - kw + 1
+    out = np.zeros((n, 1, do, ho, wo), dtype=x.dtype)
+    for a in range(kd):
+        for b in range(kh):
+            for c in range(kw):
+                out[:, 0] += k[0, 0, a, b, c] * xp[:, 0, a : a + do, b : b + ho, c : c + wo]
+    return out
+
+
+def tap_loop_depthwise(x, k, dil, pad):
+    """The strided-slice tap loop the stride-1 depthwise forward used before the flat layout."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    n, c, h, wd = x.shape
+    kh, kw = k.shape[2:]
+    ho, wo = h + 2 * pad - dil * (kh - 1), wd + 2 * pad - dil * (kw - 1)
+    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xs = xp[:, :, i * dil : i * dil + ho, j * dil : j * dil + wo]
+            out += k[:, 0, i, j].reshape(1, c, 1, 1) * xs
+    return out
+
+
+class TestFlatCore:
+    @pytest.mark.parametrize("dil", [1, 2, 3])
+    @pytest.mark.parametrize("same_pad", [False, True])
+    def test_gemm_matches_direct_loop(self, dil, same_pad):
+        gen = np.random.default_rng(dil)
+        x = gen.standard_normal((2, 3, 9, 11)).astype(np.float32)
+        w = nn.init_conv2d(gen, 3, 4, 3, dilation=dil, padding=dil if same_pad else 0, bias=True)
+        w.bias.data[:] = gen.standard_normal(4)
+        check_conv2d_against_direct(x, w)
+
+    @pytest.mark.parametrize("hw,k,dil,pad", [((2, 2), 3, 2, 2), ((2, 2), 3, 3, 3), ((1, 1), 2, 2, 1)])
+    def test_taps_reading_only_padding(self, hw, k, dil, pad):
+        # on maps no larger than the dilation, most taps (the last case: every
+        # tap) read only zero padding
+        gen = np.random.default_rng(dil)
+        x = gen.standard_normal((2, 3) + hw).astype(np.float32)
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 4, k, dilation=dil, padding=pad))
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 3, k, dilation=dil, padding=pad, groups=3))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_matches_direct_loop(self, stride):
+        gen = np.random.default_rng(stride)
+        x = gen.standard_normal((2, 5, 8, 10)).astype(np.float32)
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 5, 5, 3, stride=stride, groups=5))
+
+    def test_im2col_paths_match_direct_loop(self):
+        gen = rng()
+        x = gen.standard_normal((2, 4, 8, 10)).astype(np.float32)
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 4, 8, 3, stride=2, padding=1))
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 4, 6, 3, groups=2))
+
+    @pytest.mark.parametrize("ksize", [(3, 3, 3), (1, 3, 3)])
+    def test_conv3d_1to1_matches_direct_loop(self, ksize):
+        gen = rng()
+        x = gen.standard_normal((2, 1, 6, 7, 9)).astype(np.float32)
+        w = nn.init_conv3d(gen, 1, 1, ksize)
+        y = nn.conv3d(Tensor(x, requires_grad=True), w)
+        want, want_vjp = direct_conv3d_1to1(x, w.kernel.data, w.padding)
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-5)
+        g = gen.standard_normal(y.shape).astype(np.float32)
+        (gx, gk), (want_gx, want_gk) = y.node.vjp(g), want_vjp(g)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(gk, want_gk, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 16, 32, 32), (1, 1, 31, 16, 16), (2, 1, 5, 7, 9)])
+    @pytest.mark.parametrize("ksize", [(3, 3, 3), (1, 3, 3)])
+    def test_conv3d_1to1_forward_bit_identical_to_tap_loop(self, shape, ksize):
+        gen = rng()
+        x = gen.standard_normal(shape).astype(np.float32)
+        w = nn.init_conv3d(gen, 1, 1, ksize)
+        got = nn.conv3d(Tensor(x), w).data
+        assert np.array_equal(got, tap_loop_conv3d_1to1(x, w.kernel.data, w.padding))
+
+    @pytest.mark.parametrize("shape,dil", [((4, 48, 32, 32), 1), ((1, 96, 16, 16), 1), ((2, 5, 7, 9), 2)])
+    def test_depthwise_forward_bit_identical_to_tap_loop(self, shape, dil):
+        gen = rng()
+        x = gen.standard_normal(shape).astype(np.float32)
+        c = shape[1]
+        w = nn.init_conv2d(gen, c, c, 3, dilation=dil, groups=c)
+        got = nn.conv2d(Tensor(x), w).data
+        assert np.array_equal(got, tap_loop_depthwise(x, w.kernel.data, dil, w.padding))
+
+    @pytest.mark.parametrize("dil", [1, 2, 3])
+    def test_dilated_conv_peak_memory(self, dil):
+        import tracemalloc
+
+        x = Tensor(rng().standard_normal((2, 32, 32, 32)).astype(np.float32), requires_grad=True)
+        w = nn.init_conv2d(rng(), 32, 32, 3, dilation=dil)
+        g = np.ones((2, 32, 32, 32), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y = nn.conv2d(x, w)
+            fwd_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            y.node.vjp(g)
+            bwd_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # an im2col forward holds 9 copies of the input; its vjp rebuilt them
+        assert fwd_peak < 5 * x.data.nbytes
+        assert bwd_peak < 6 * x.data.nbytes
+
+
 class TestChannelShuffle:
     def test_c4_g2_order(self):
         x = np.zeros((1, 4, 1, 1), dtype=np.float32)
