@@ -23,7 +23,6 @@ from .nn import (
     channel_shuffle,
     conv2d,
     conv3d_on_features,
-    depthwise_conv2d,
     init_conv2d,
     init_conv3d,
 )
@@ -129,7 +128,7 @@ def attention_map(q_hat: Tensor, k_hat: Tensor, alpha) -> Tensor:
 def global_branch(y: Tensor, w: CafmWeights) -> Tensor:
     """F_att: channel attention over Q/K/V plus the residual input."""
     n, c, h, wd = y.shape
-    qkv = depthwise_conv2d(conv2d(y, w.qkv_pointwise), w.qkv_depthwise)  # (N, 3C, H, W)
+    qkv = conv2d(conv2d(y, w.qkv_pointwise), w.qkv_depthwise)  # (N, 3C, H, W)
     q = reshape(slice_(qkv, (slice(None), slice(0, c))), (n, c, h * wd))
     k = reshape(slice_(qkv, (slice(None), slice(c, 2 * c))), (n, c, h * wd))
     v = reshape(slice_(qkv, (slice(None), slice(2 * c, 3 * c))), (n, c, h * wd))

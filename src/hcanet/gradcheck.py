@@ -194,7 +194,7 @@ def preset_ops(seed: int = 0) -> GradCheckResult:
         wg = nn.init_conv2d(rng, 4, 6, 3, groups=2)
         case("conv2d_g2", lambda: nn.conv2d(x, wg), {"x": x, "kernel": wg.kernel})
         wdw = nn.init_conv2d(rng, 4, 4, 3, groups=4)
-        case("conv2d_dw", lambda: nn.depthwise_conv2d(x, wdw), {"x": x, "kernel": wdw.kernel})
+        case("conv2d_dw", lambda: nn.conv2d(x, wdw), {"x": x, "kernel": wdw.kernel})
         w1 = nn.init_conv2d(rng, 4, 5, 1)
         case("conv2d_1x1", lambda: nn.conv2d(x, w1), {"x": x, "kernel": w1.kernel})
         x3 = leaf(2, 1, 4, 5, 5)

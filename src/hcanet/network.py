@@ -22,6 +22,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from . import nn
 from .cafm import CafmWeights, cafm_forward, init_cafm
 from .errors import ConfigError, FormatError, ShapeError
 from .msfn import FfnWeights, MsfnWeights, ffn_forward, init_ffn, init_msfn, msfn_forward
@@ -32,14 +33,12 @@ from .nn import (
     LayerNormWeights,
     conv2d,
     conv3d,
-    downsample,
     init_conv2d,
     init_conv3d,
     init_downsample,
     init_layer_norm,
     init_upsample,
     layer_norm,
-    upsample,
 )
 from .tensor import Tensor, add, concat, no_grad, reshape
 
@@ -226,11 +225,11 @@ class HcaNet:
             for blk in blocks:
                 z = _block_forward(z, blk)
             skips.append(z)
-            z = downsample(z, self.downs[lvl])
+            z = conv2d(z, self.downs[lvl])
         for blk in self.bottleneck:
             z = _block_forward(z, blk)
         for d, blocks in enumerate(self.dec_blocks):
-            z = upsample(z, self.ups[d])
+            z = nn.conv_transpose2d(z, self.ups[d])  # looked up in nn per call, so a wrapper set there sees it
             z = conv2d(concat([z, skips[len(skips) - 1 - d]], axis=1), self.skip_fuse[d])
             for blk in blocks:
                 z = _block_forward(z, blk)

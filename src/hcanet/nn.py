@@ -1,11 +1,11 @@
 """Neural building blocks over the tensor engine.
 
 2-D convolutions (strided, dilated, grouped, depthwise), single-feature and
-multi-feature 3-D convolutions, 2x2 transposed convolution, channel shuffle,
-down/upsampling, and per-channel layer normalization.  All kernels follow the
-cross-correlation convention and zero padding.
+multi-feature 3-D convolutions, 2x2 transposed convolution, channel shuffle and
+per-channel layer normalization.  All kernels follow the cross-correlation
+convention and zero padding.
 
-Every stride-1 convolution except the 3-D stem runs on a flat-shift layout
+Every convolution except the 1x1 and the 3-D stem runs on a flat-shift layout
 (``_FlatTaps``): the input is zero-padded once, its spatial axes are flattened
 into one, and a few zeros of slack follow, so each kernel tap reads one
 contiguous slice ``xf[..., off : off + L]``.  Those slices cover a *wide*
@@ -13,15 +13,18 @@ output grid that keeps the padded extent of every spatial axis but the first;
 the result is cropped to the true output at the end.  Per tap, the 1->1 3-D
 conv and the depthwise conv do one multiply-add and the dense conv does one
 GEMM over the slice, which BLAS reads in place.  Taps whose window lies wholly
-in the padding (dilated convs on maps no larger than the dilation) are skipped.  Backward embeds the output
-gradient into the wide grid with zeros in the extra positions and scatters it
-through the same slices into a flat input gradient, reusing the forward's
-padded input; no column buffer is built in either direction.
+in the padding (dilated convs on maps no larger than the dilation) are
+skipped.  Backward embeds the output gradient into the wide grid with zeros in
+the extra positions and scatters it through the same slices into a flat input
+gradient, reusing the forward's padded input; no column buffer is built in
+either direction.
 
-Strided or grouped 2-D convolutions (the downsample; strided depthwise) keep
-im2col: each tap is a strided slice of the padded input copied into a
-(N, C, K, Ho*Wo) column buffer, combined with the kernel by one GEMM (grouped:
-one einsum), and scattered back through the same slices in backward.
+A strided convolution (the downsample) first splits the padded input into
+stride x stride phases, as pixel-unshuffle does: padded position q goes to
+phase q % stride at coarse index q // stride.  Tap i then reads phase
+(i * dilation) % stride at coarse offset (i * dilation) // stride, again one
+contiguous slice, and the wide grid keeps each coarse extent.  A grouped,
+non-depthwise conv runs as a dense conv with a block-diagonal kernel.
 
 The multi-feature 3-D forward (the network's 1->F stem) works slab-wise: it
 gathers the taps of one output depth slice into a reused (N, K*F, H*W) column
@@ -33,6 +36,7 @@ patches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -170,54 +174,81 @@ def _out_extent(n: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (n + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
 class _FlatTaps:
-    """Flat-shift layout of ``x`` for a stride-1 convolution over its trailing axes.
+    """Flat-shift layout of ``x`` for a convolution over its trailing axes.
 
-    ``pad`` and ``ksize`` hold one entry per convolved axis.  ``xf`` is ``x``
-    zero-padded, flattened over those axes and followed by slack zeros, so
-    that kernel tap ``t`` (row-major tap order) reads the contiguous slice
-    ``xf[..., offs[t] : offs[t] + ell]``.  That slice covers the wide output
-    grid ``wide``: the first convolved axis at its output extent, the others
-    at their padded extent.  Only the taps in ``live`` need to be visited.
+    ``pad`` and ``ksize`` hold one entry per convolved axis; ``dil`` and
+    ``stride`` apply to all of them.  The padded input, each extent rounded up
+    to a multiple of the stride, is split into ``stride**k`` phases as
+    pixel-unshuffle does: padded position q goes to phase q % stride at coarse
+    index q // stride.  ``xf[..., p, :]`` is phase p's coarse grid, flattened
+    and followed by slack zeros, so that kernel tap ``t`` (row-major tap order)
+    reads the contiguous slice ``xf[..., phase[t], offs[t] : offs[t] + ell]``.
+    That slice covers the wide output grid ``wide``: the first convolved axis
+    at its output extent, the others at their coarse extent.  Only the taps in
+    ``live`` need to be visited.  At stride 1 there is one phase, whose coarse
+    grid is the padded input.
     """
 
-    def __init__(self, x: np.ndarray, pad: tuple[int, ...], ksize: tuple[int, ...], dil: int = 1):
+    def __init__(self, x: np.ndarray, pad: tuple[int, ...], ksize: tuple[int, ...], dil: int, stride: int):
         k = len(ksize)
-        self.pad = pad
-        self.padded = tuple(e + 2 * q for e, q in zip(x.shape[-k:], pad))
-        self.out = tuple(e - dil * (kk - 1) for e, kk in zip(self.padded, ksize))
-        self.wide = self.out[:1] + self.padded[1:]
+        self.extent = x.shape[-k:]
+        padded = [e + 2 * q for e, q in zip(self.extent, pad)]
+        self.coarse = tuple(-(-e // stride) for e in padded)
+        self.out = tuple((e - dil * (kk - 1) - 1) // stride + 1 for e, kk in zip(padded, ksize))
+        self.wide = self.out[:1] + self.coarse[1:]
         self.valid = (Ellipsis,) + tuple(slice(0, o) for o in self.out[1:])  # true outputs in the wide grid
-        self.ell = int(np.prod(self.wide))
-        self.size = int(np.prod(self.padded))
-        strides = [int(np.prod(self.padded[i + 1 :])) for i in range(k)]
+        self.ell = math.prod(self.wide)
+        self.size = math.prod(self.coarse)
+        strides = [math.prod(self.coarse[i + 1 :]) for i in range(k)]
         # the last wide position plus the largest offset must stay in bounds
-        slack = dil * sum((kk - 1) * st for kk, st in zip(ksize[1:], strides[1:]))
-        taps = list(np.ndindex(*ksize))
-        self.offs = [dil * sum(i * st for i, st in zip(tap, strides)) for tap in taps]
-        # taps whose input window lies wholly in the padding add exact zeros (dilated
-        # convs on the smallest feature maps); keep one so results keep their shape
-        self.live = [
-            t for t, tap in enumerate(taps)
-            if all(i * dil - q < e and i * dil - q + o > 0 for i, q, e, o in zip(tap, pad, x.shape[-k:], self.out))
-        ] or [0]
-        self.xf = np.zeros(x.shape[:-k] + (self.size + slack,), dtype=x.dtype)
-        self.interior(self.xf)[...] = x
+        slack = sum((kk - 1) * dil // stride * st for kk, st in zip(ksize[1:], strides[1:]))
+        # per tap: its phase, its coarse offset, and whether its input window reaches
+        # the unpadded input; a window lying wholly in the padding adds exact zeros
+        # (dilated convs on the smallest feature maps), so such taps are skipped
+        self.phase, self.offs, self.live = [], [], []
+        for t, tap in enumerate(np.ndindex(*ksize)):  # row-major tap order
+            phase = off = 0
+            live = True
+            for i, q, e, o, st in zip(tap, pad, self.extent, self.out, strides):
+                shift = i * dil  # in padded positions
+                phase = phase * stride + shift % stride
+                off += shift // stride * st
+                live = live and shift - q < e and shift - q + stride * (o - 1) >= 0
+            self.phase.append(phase)
+            self.offs.append(off)
+            if live:
+                self.live.append(t)
+        self.live = self.live or [0]  # keep one tap so results keep their shape
+        # per phase: the unpadded input positions it holds, and where they sit in its coarse grid
+        self.phases = []
+        for p, r in enumerate(np.ndindex(*(stride,) * k)):
+            src = [slice((ri - q) % stride, None, stride) for ri, q in zip(r, pad)]
+            lo = [(sl.start + q) // stride for sl, q in zip(src, pad)]
+            dst = [slice(a, a + len(range(e)[sl])) for a, sl, e in zip(lo, src, self.extent)]
+            self.phases.append(((Ellipsis, *src), (Ellipsis, p, *dst)))
+        self.xf = np.zeros(x.shape[:-k] + (stride**k, self.size + slack), dtype=x.dtype)
+        grids = self.grids(self.xf)
+        for src, dst in self.phases:
+            grids[dst] = x[src]
 
     def tap(self, buf: np.ndarray, t: int) -> np.ndarray:
         """Tap t's slice of a flat buffer shaped like ``xf``."""
-        return buf[..., self.offs[t] : self.offs[t] + self.ell]
+        return buf[..., self.phase[t], self.offs[t] : self.offs[t] + self.ell]
 
-    def interior(self, buf: np.ndarray) -> np.ndarray:
-        """View of the unpadded input positions of a flat buffer shaped like ``xf``."""
-        grid = buf[..., : self.size].reshape(buf.shape[:-1] + self.padded)
-        return grid[(Ellipsis,) + tuple(slice(q, e - q) for q, e in zip(self.pad, self.padded))]
+    def grids(self, buf: np.ndarray) -> np.ndarray:
+        """The coarse grids of a flat buffer shaped like ``xf``: (..., phases, *coarse)."""
+        return buf[..., : self.size].reshape(buf.shape[:-1] + self.coarse)
+
+    def unpad(self, buf: np.ndarray) -> np.ndarray:
+        """The unpadded input positions of a buffer shaped like ``xf`` (a view at stride 1)."""
+        grids = self.grids(buf)
+        if len(self.phases) == 1:
+            return grids[self.phases[0][1]]
+        out = np.empty(buf.shape[:-2] + self.extent, dtype=buf.dtype)
+        for src, dst in self.phases:
+            out[src] = grids[dst]
+        return out
 
     def crop(self, y: np.ndarray) -> np.ndarray:
         """Contiguous true output of a wide result y: (..., ell)."""
@@ -232,24 +263,6 @@ class _FlatTaps:
         return wide.reshape(lead + (self.ell,))
 
 
-def _taps2d(kh: int, kw: int, stride: int, dil: int, ho: int, wo: int):
-    """Yield (tap index, row slice, col slice) touching the padded input."""
-    for ki in range(kh):
-        rs = slice(ki * dil, ki * dil + stride * ho, stride)
-        for kj in range(kw):
-            cs = slice(kj * dil, kj * dil + stride * wo, stride)
-            yield ki * kw + kj, rs, cs
-
-
-def _im2col(xp: np.ndarray, kh, kw, stride, dil, ho, wo) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh * kw, ho * wo), dtype=xp.dtype)
-    grid = cols.reshape(n, c, kh * kw, ho, wo)
-    for t, rs, cs in _taps2d(kh, kw, stride, dil, ho, wo):
-        grid[:, :, t] = xp[:, :, rs, cs]
-    return cols
-
-
 def conv2d(x: Tensor, w: Conv2dWeights) -> Tensor:
     """Grouped 2-D cross-correlation.  x: (N, C, H, W) -> (N, C', H', W')."""
     if x.ndim != 4:
@@ -259,22 +272,22 @@ def conv2d(x: Tensor, w: Conv2dWeights) -> Tensor:
     g = w.groups
     if c != cg * g:
         raise ShapeError(f"conv2d: input channels {c} != kernel {cg}*groups {g}")
-    if c % g or out_c % g:
-        raise ShapeError(f"conv2d: channels ({c}->{out_c}) not divisible by groups={g}")
+    if out_c % g:
+        raise ShapeError(f"conv2d: output channels {out_c} not divisible by groups={g}")
     s, d, p = w.stride, w.dilation, w.padding
-    ho, wo = _out_extent(h, kh, s, p, d), _out_extent(wd, kw, s, p, d)
-    if ho <= 0 or wo <= 0:
+    if _out_extent(h, kh, s, p, d) <= 0 or _out_extent(wd, kw, s, p, d) <= 0:
         raise ShapeError(f"conv2d: empty output for input {x.shape} kernel {kh}x{kw}")
 
     if kh == kw == 1 and s == 1 and p == 0 and g == 1:
         return _conv1x1(x, w, n, c, out_c, h, wd)
-    if g == c and cg == 1 and out_c == c and s == 1:
-        return _conv_depthwise(x, w, kh, kw, d, p)
-    return _conv_gemm(x, w, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo)
+    if g == c == out_c:
+        return _conv_depthwise(x, w, kh, kw, s, d, p)
+    return _conv_gemm(x, w, n, c, out_c, g, kh, kw, s, d, p)
 
 
-def _bias_vjp(gout: np.ndarray) -> np.ndarray:
-    return gout.sum(axis=(0, 2, 3))
+def _bias_vjp(g: np.ndarray) -> np.ndarray:
+    """Bias gradient: g summed over the batch and every spatial axis."""
+    return g.sum(axis=(0,) + tuple(range(2, g.ndim)))
 
 
 def _conv1x1(x: Tensor, w: Conv2dWeights, n, c, out_c, h, wd) -> Tensor:
@@ -296,18 +309,18 @@ def _conv1x1(x: Tensor, w: Conv2dWeights, n, c, out_c, h, wd) -> Tensor:
     return Tensor._from_op(out, "conv1x1", parents, vjp)
 
 
-def _conv_depthwise(x: Tensor, w: Conv2dWeights, kh, kw, d, p) -> Tensor:
-    """Stride-1 depthwise conv (groups == C)."""
-    return _conv_per_channel(x, w, (p, p), (kh, kw), d, "conv_dw")
+def _conv_depthwise(x: Tensor, w: Conv2dWeights, kh, kw, s, d, p) -> Tensor:
+    """Depthwise conv (groups == C == C')."""
+    return _conv_per_channel(x, w, (p, p), (kh, kw), d, s, "conv_dw")
 
 
-def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, dil, op: str) -> Tensor:
-    """Stride-1 conv with one filter per channel: one multiply-add per tap over flat slices.
+def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, dil, stride, op: str) -> Tensor:
+    """Conv with one filter per channel: one multiply-add per tap over flat slices.
 
     x: (N, C, *spatial), kernel: (C, 1, *ksize).  Serves the depthwise 2-D conv
     and the 1->1 3-D conv (C == 1, three spatial axes).
     """
-    ft = _FlatTaps(x.data, pad, ksize, dil)
+    ft = _FlatTaps(x.data, pad, ksize, dil, stride)
     c = x.shape[1]
     kd = w.kernel.data
     taps = kd.reshape(c, -1, 1)
@@ -327,20 +340,28 @@ def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, d
         for t in ft.live:
             gtaps[:, t] = np.einsum("ncl,ncl->c", gwide, ft.tap(ft.xf, t))
             ft.tap(gxf, t)[...] += taps[:, t] * gwide
-        gx = ft.interior(gxf)
+        gx = ft.unpad(gxf)
         if w.bias is None:
             return gx, gk
-        return gx, gk, g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+        return gx, gk, _bias_vjp(g)
 
     return Tensor._from_op(out, op, parents, vjp)
 
 
-def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo) -> Tensor:
-    """Dense stride-1 conv: one GEMM per tap, reading each flat tap slice in place."""
-    if s != 1 or g != 1:
-        return _conv_im2col(x, w, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo)
-    ft = _FlatTaps(x.data, (p, p), (kh, kw), d)
-    kd = w.kernel.data  # (O, C, kh, kw)
+def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, groups, kh, kw, s, d, p) -> Tensor:
+    """Dense conv: one GEMM per tap, reading each flat tap slice in place.
+
+    A grouped kernel runs as the dense kernel that is zero off its diagonal
+    blocks; no model conv is grouped and dense.
+    """
+    ft = _FlatTaps(x.data, (p, p), (kh, kw), d, s)
+    kd = w.kernel.data  # (O, C / groups, kh, kw)
+    diag = np.arange(groups)
+    blocks = (groups, out_c // groups, groups, c // groups, kh, kw)
+    if groups > 1:
+        dense = np.zeros(blocks, dtype=kd.dtype)
+        dense[diag, :, diag] = kd.reshape(blocks[:2] + blocks[3:])
+        kd = dense.reshape(out_c, c, kh, kw)
     first = ft.live[0]
     out = np.matmul(np.ascontiguousarray(kd[:, :, first // kw, first % kw]), ft.tap(ft.xf, first))
     prod = np.empty_like(out)
@@ -362,64 +383,14 @@ def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, g, h, wd, kh, kw, s, d,
             ki, kj = divmod(t, kw)
             gk[:, :, ki, kj] = np.matmul(gwide, ft.tap(ft.xf, t).transpose(0, 2, 1)).sum(axis=0)
             ft.tap(gxf, t)[...] += np.matmul(np.ascontiguousarray(kd[:, :, ki, kj]).T, gwide, out=prod)
-        gx = ft.interior(gxf)
+        gx = ft.unpad(gxf)
+        if groups > 1:
+            gk = gk.reshape(blocks)[diag, :, diag].reshape(w.kernel.shape)
         if w.bias is None:
             return gx, gk
         return gx, gk, _bias_vjp(g_out)
 
     return Tensor._from_op(out, "conv2d", parents, vjp)
-
-
-def _conv_im2col(x: Tensor, w: Conv2dWeights, n, c, out_c, g, h, wd, kh, kw, s, d, p, ho, wo) -> Tensor:
-    """Strided or grouped conv through an im2col column buffer."""
-    xp = _pad2d(x.data, p)
-    kd = w.kernel.data
-    k2 = kh * kw
-    ell = ho * wo
-    cols = _im2col(xp, kh, kw, s, d, ho, wo)  # (N, C, K, L)
-    if g == 1:
-        out = np.matmul(kd.reshape(out_c, c * k2), cols.reshape(n, c * k2, ell))
-    else:
-        cg, og = c // g, out_c // g
-        colg = cols.reshape(n, g, cg * k2, ell)
-        out = np.einsum("gok,ngkl->ngol", kd.reshape(g, og, cg * k2), colg, optimize=True)
-    out = out.reshape(n, out_c, ho, wo)
-    if w.bias is not None:
-        out = out + w.bias.data.reshape(1, out_c, 1, 1)
-    parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
-
-    def vjp(g_out):
-        cols_b = _im2col(xp, kh, kw, s, d, ho, wo)
-        gf = g_out.reshape(n, out_c, ell)
-        if g == 1:
-            gw = np.matmul(gf, cols_b.reshape(n, c * k2, ell).transpose(0, 2, 1)).sum(axis=0)
-            gcols = np.matmul(kd.reshape(out_c, c * k2).T, gf).reshape(n, c, k2, ell)
-        else:
-            cg, og = c // g, out_c // g
-            gfg = gf.reshape(n, g, og, ell)
-            colg = cols_b.reshape(n, g, cg * k2, ell)
-            gw = np.einsum("ngol,ngkl->gok", gfg, colg, optimize=True)
-            gcols = np.einsum("gok,ngol->ngkl", kd.reshape(g, og, cg * k2), gfg, optimize=True)
-            gcols = gcols.reshape(n, c, k2, ell)
-        gxp = np.zeros_like(xp)
-        for t, rs, cs in _taps2d(kh, kw, s, d, ho, wo):
-            gxp[:, :, rs, cs] += gcols[:, :, t, :].reshape(n, c, ho, wo)
-        gx = gxp[:, :, p : p + h, p : p + wd] if p else gxp
-        if w.bias is None:
-            return gx, gw.reshape(kd.shape)
-        return gx, gw.reshape(kd.shape), _bias_vjp(g_out)
-
-    return Tensor._from_op(out, "conv2d", parents, vjp)
-
-
-def depthwise_conv2d(x: Tensor, w: Conv2dWeights) -> Tensor:
-    """conv2d restricted to groups == C (per-channel spatial filtering)."""
-    if w.groups != x.shape[1] or w.kernel.shape[1] != 1:
-        raise ShapeError(
-            f"depthwise_conv2d requires groups == C == {x.shape[1]}, got groups={w.groups}, "
-            f"kernel {w.kernel.shape}"
-        )
-    return conv2d(x, w)
 
 
 # -- conv3d ---------------------------------------------------------------------
@@ -440,7 +411,7 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
     if min(do, ho, wo) <= 0:
         raise ShapeError(f"conv3d: empty output for input {x.shape} kernel {w.kernel.shape}")
     if f == 1 and out_f == 1:
-        return _conv_per_channel(x, w, w.padding, (kd, kh, kw), 1, "conv3d")
+        return _conv_per_channel(x, w, w.padding, (kd, kh, kw), 1, 1, "conv3d")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw))) if (pd or ph or pw) else x.data
     kdta = w.kernel.data
 
@@ -483,7 +454,7 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
         gx = gxp[:, :, pd : pd + dd, ph : ph + h, pw : pw + wd] if (pd or ph or pw) else gxp
         if w.bias is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3, 4))
+        return gx, gw, _bias_vjp(g)
 
     return Tensor._from_op(out, "conv3d", parents, vjp)
 
@@ -534,26 +505,6 @@ def conv_transpose2d(x: Tensor, w: ConvT2dWeights) -> Tensor:
         return gx.reshape(x.shape), gw, _bias_vjp(g)
 
     return Tensor._from_op(out, "conv_t2d", parents, vjp)
-
-
-def downsample(x: Tensor, w: Conv2dWeights) -> Tensor:
-    """Halve H, W and double C via a 3x3 stride-2 convolution."""
-    n, c, h, wd = x.shape
-    if h % 2 or wd % 2:
-        raise ShapeError(f"downsample requires even spatial extents, got {h}x{wd}")
-    if w.kernel.shape[0] != 2 * c:
-        raise ShapeError(f"downsample kernel maps {w.kernel.shape[1]}->{w.kernel.shape[0]}, expected {c}->{2 * c}")
-    return conv2d(x, w)
-
-
-def upsample(x: Tensor, w: ConvT2dWeights) -> Tensor:
-    """Double H, W and halve C via a 2x2 stride-2 transposed convolution."""
-    c = x.shape[1]
-    if c % 2:
-        raise ShapeError(f"upsample requires an even channel count, got {c}")
-    if w.kernel.shape[1] != c // 2:
-        raise ShapeError(f"upsample kernel maps {w.kernel.shape[0]}->{w.kernel.shape[1]}, expected {c}->{c // 2}")
-    return conv_transpose2d(x, w)
 
 
 def init_downsample(rng: np.random.Generator, c: int, *, dtype=None) -> Conv2dWeights:

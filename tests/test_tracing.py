@@ -26,5 +26,7 @@ def test_every_conv_op_records_forward_and_backward_spans():
     finally:
         undo()
     names = {span[0] for span in tracer.spans}
-    for op in ("nn.conv3d_1to1", "nn.conv_dw", "nn.conv_gemm", "nn.conv1x1", "nn.conv_t2d"):
+    for op in ("nn.conv3d_1to1", "nn.conv3d_stem", "nn.conv_dw", "nn.conv_gemm", "nn.conv1x1", "nn.conv_t2d"):
         assert f"{op}.fwd" in names and f"{op}.bwd" in names, op
+    # the strided downsample is a plain conv2d call and still lands in nn._conv_gemm
+    assert ["nn.conv_gemm.fwd", "down0"] in [[span[0], span[4]] for span in tracer.spans]
