@@ -29,7 +29,6 @@ from .nn import (
 from .tensor import (
     Tensor,
     add,
-    default_dtype,
     matmul,
     permute,
     reciprocal,
@@ -72,7 +71,6 @@ def init_cafm(
     groups: int = 4,
     local_branch: bool = True,
     spectral_3d: bool = True,
-    dtype=None,
 ) -> CafmWeights:
     """Build CAFM weights for block width c.
 
@@ -82,16 +80,15 @@ def init_cafm(
     """
     if c % groups:
         raise ShapeError(f"block width {c} not divisible by shuffle groups {groups}")
-    dtype = dtype or default_dtype()
     local_pw = local_3d = None
     if local_branch:
-        local_pw = init_conv2d(rng, c, c, 1, dtype=dtype)
-        local_3d = init_conv3d(rng, 1, 1, (3, 3, 3) if spectral_3d else (1, 3, 3), dtype=dtype)
+        local_pw = init_conv2d(rng, c, c, 1)
+        local_3d = init_conv3d(rng, 1, 1, (3, 3, 3) if spectral_3d else (1, 3, 3))
     return CafmWeights(
-        qkv_pointwise=init_conv2d(rng, c, 3 * c, 1, dtype=dtype),
-        qkv_depthwise=init_conv2d(rng, 3 * c, 3 * c, 3, groups=3 * c, dtype=dtype),
-        out_pointwise=init_conv2d(rng, c, c, 1, dtype=dtype),
-        alpha=Tensor(np.asarray(1.0), requires_grad=True, dtype=dtype),
+        qkv_pointwise=init_conv2d(rng, c, 3 * c, 1),
+        qkv_depthwise=init_conv2d(rng, 3 * c, 3 * c, 3, groups=3 * c),
+        out_pointwise=init_conv2d(rng, c, c, 1),
+        alpha=Tensor(np.asarray(1.0), requires_grad=True),
         shuffle_groups=groups,
         local_pointwise=local_pw,
         local_spectral=local_3d,

@@ -184,9 +184,8 @@ def preset_ops(seed: int = 0) -> GradCheckResult:
         w = nn.init_conv2d(rng, 4, 3, 3)
         case("conv2d_3x3", lambda: nn.conv2d(x, w),
              {"x": x, "kernel": w.kernel})
-        ws = nn.init_conv2d(rng, 4, 3, 3, stride=2, bias=True)
-        case("conv2d_s2", lambda: nn.conv2d(x, ws),
-             {"x": x, "kernel": ws.kernel, "bias": ws.bias})
+        ws = nn.init_conv2d(rng, 4, 3, 3, stride=2)
+        case("conv2d_s2", lambda: nn.conv2d(x, ws), {"x": x, "kernel": ws.kernel})
         wd2 = nn.init_conv2d(rng, 4, 4, 3, dilation=2)
         case("conv2d_d2", lambda: nn.conv2d(x, wd2), {"x": x, "kernel": wd2.kernel})
         wd3 = nn.init_conv2d(rng, 4, 4, 3, dilation=3)
@@ -200,9 +199,8 @@ def preset_ops(seed: int = 0) -> GradCheckResult:
         x3 = leaf(2, 1, 4, 5, 5)
         w3 = nn.init_conv3d(rng, 1, 1)
         case("conv3d_1to1", lambda: nn.conv3d(x3, w3), {"x": x3, "kernel": w3.kernel})
-        w3m = nn.init_conv3d(rng, 1, 3, bias=True)
-        case("conv3d_stem", lambda: nn.conv3d(x3, w3m),
-             {"x": x3, "kernel": w3m.kernel, "bias": w3m.bias})
+        w3m = nn.init_conv3d(rng, 1, 3)
+        case("conv3d_stem", lambda: nn.conv3d(x3, w3m), {"x": x3, "kernel": w3m.kernel})
         wt = nn.init_conv_t2d(rng, 4, 2)
         case("conv_t2d", lambda: nn.conv_transpose2d(x, wt), {"x": x, "kernel": wt.kernel})
         ln = nn.init_layer_norm(4)

@@ -59,25 +59,24 @@ def init_msfn(
     *,
     expansion: int = 2,
     spectral_3d: bool = True,
-    dtype=None,
 ) -> MsfnWeights:
     gc = expansion * c
     return MsfnWeights(
-        expand_a=init_conv2d(rng, c, gc, 1, dtype=dtype),
-        spectral=init_conv3d(rng, 1, 1, (3, 3, 3) if spectral_3d else (1, 3, 3), dtype=dtype),
-        expand_b=init_conv2d(rng, c, gc, 1, dtype=dtype),
-        dil2=init_conv2d(rng, gc, gc, 3, dilation=2, dtype=dtype),
-        dil3=init_conv2d(rng, gc, gc, 3, dilation=3, dtype=dtype),
-        project=init_conv2d(rng, gc, c, 1, dtype=dtype),
+        expand_a=init_conv2d(rng, c, gc, 1),
+        spectral=init_conv3d(rng, 1, 1, (3, 3, 3) if spectral_3d else (1, 3, 3)),
+        expand_b=init_conv2d(rng, c, gc, 1),
+        dil2=init_conv2d(rng, gc, gc, 3, dilation=2),
+        dil3=init_conv2d(rng, gc, gc, 3, dilation=3),
+        project=init_conv2d(rng, gc, c, 1),
         gamma=expansion,
     )
 
 
-def init_ffn(rng: np.random.Generator, c: int, *, expansion: int = 2, dtype=None) -> FfnWeights:
+def init_ffn(rng: np.random.Generator, c: int, *, expansion: int = 2) -> FfnWeights:
     gc = expansion * c
     return FfnWeights(
-        expand=init_conv2d(rng, c, gc, 1, dtype=dtype),
-        project=init_conv2d(rng, gc, c, 1, dtype=dtype),
+        expand=init_conv2d(rng, c, gc, 1),
+        project=init_conv2d(rng, gc, c, 1),
         gamma=expansion,
     )
 

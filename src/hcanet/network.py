@@ -35,9 +35,8 @@ from .nn import (
     conv3d,
     init_conv2d,
     init_conv3d,
-    init_downsample,
+    init_conv_t2d,
     init_layer_norm,
-    init_upsample,
     layer_norm,
 )
 from .tensor import Tensor, add, concat, no_grad, reshape
@@ -166,7 +165,7 @@ class HcaNet:
         for lvl in range(L - 1):
             c = cfg.width(lvl)
             self.enc_blocks.append([_init_block(rng, cfg, c) for _ in range(cfg.blocks_per_level[lvl])])
-            self.downs.append(init_downsample(rng, c))
+            self.downs.append(init_conv2d(rng, c, 2 * c, 3, stride=2))
         cb = cfg.width(L - 1)
         self.bottleneck: list[BlockWeights] = [
             _init_block(rng, cfg, cb) for _ in range(cfg.blocks_per_level[L - 1])
@@ -176,7 +175,7 @@ class HcaNet:
         self.dec_blocks: list[list[BlockWeights]] = []
         for lvl in range(L - 2, -1, -1):
             c = cfg.width(lvl)
-            self.ups.append(init_upsample(rng, 2 * c))
+            self.ups.append(init_conv_t2d(rng, 2 * c, c))
             self.skip_fuse.append(init_conv2d(rng, 2 * c, c, 1))
             self.dec_blocks.append([_init_block(rng, cfg, c) for _ in range(cfg.blocks_per_level[lvl])])
         self.refine: list[BlockWeights] = [

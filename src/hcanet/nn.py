@@ -3,7 +3,10 @@
 2-D convolutions (strided, dilated, grouped, depthwise), single-feature and
 multi-feature 3-D convolutions, 2x2 transposed convolution, channel shuffle and
 per-channel layer normalization.  All kernels follow the cross-correlation
-convention and zero padding.
+convention and zero padding.  Convolutions carry no bias, as in Restormer, so
+every conv op records the parents ``(x, kernel)`` and its vjp returns
+``(gx, gk)``.  The ``init_*`` functions create leaves in the engine's default
+dtype; ``tensor.use_dtype`` switches it (float64 for gradient checks).
 
 Every convolution except the 1x1 and the 3-D stem runs on a flat-shift layout
 (``_FlatTaps``): the input is zero-padded once, its spatial axes are flattened
@@ -43,7 +46,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, default_dtype, permute, reshape
+from .tensor import Tensor, permute, reshape
 
 # -- weight containers -------------------------------------------------------
 
@@ -53,7 +56,6 @@ class Conv2dWeights:
     """kernel: (outC, inC // groups, kH, kW)."""
 
     kernel: Tensor
-    bias: Tensor | None = None
     stride: int = 1
     dilation: int = 1
     padding: int = 0
@@ -61,22 +63,16 @@ class Conv2dWeights:
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield prefix + "kernel", self.kernel
-        if self.bias is not None:
-            yield prefix + "bias", self.bias
 
 
 @dataclass
 class Conv3dWeights:
-    """kernel: (outF, inF, kD, kH, kW); padding per axis."""
+    """kernel: (outF, inF, kD, kH, kW); "same" padding, k // 2 per axis."""
 
     kernel: Tensor
-    bias: Tensor | None = None
-    padding: tuple[int, int, int] = (1, 1, 1)
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield prefix + "kernel", self.kernel
-        if self.bias is not None:
-            yield prefix + "bias", self.bias
 
 
 @dataclass
@@ -84,12 +80,9 @@ class ConvT2dWeights:
     """2x2 stride-2 transposed convolution; kernel: (inC, outC, 2, 2)."""
 
     kernel: Tensor
-    bias: Tensor | None = None
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield prefix + "kernel", self.kernel
-        if self.bias is not None:
-            yield prefix + "bias", self.bias
 
 
 @dataclass
@@ -107,10 +100,10 @@ class LayerNormWeights:
 # -- initialization ------------------------------------------------------------
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
+def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     # Kaiming-style fan-in scaling: U[-1/sqrt(fan_in), 1/sqrt(fan_in)]
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, dtype=dtype)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def init_conv2d(
@@ -123,48 +116,25 @@ def init_conv2d(
     dilation: int = 1,
     padding: int | None = None,
     groups: int = 1,
-    bias: bool = False,
-    dtype=None,
 ) -> Conv2dWeights:
     if in_c % groups or out_c % groups:
         raise ShapeError(f"channels ({in_c}->{out_c}) not divisible by groups={groups}")
-    dtype = dtype or default_dtype()
     if padding is None:
         padding = dilation * (k - 1) // 2  # "same" spatial size at stride 1
-    kernel = _uniform(rng, (out_c, in_c // groups, k, k), (in_c // groups) * k * k, dtype)
-    b = Tensor(np.zeros(out_c), requires_grad=True, dtype=dtype) if bias else None
-    return Conv2dWeights(kernel, b, stride=stride, dilation=dilation, padding=padding, groups=groups)
+    kernel = _uniform(rng, (out_c, in_c // groups, k, k), (in_c // groups) * k * k)
+    return Conv2dWeights(kernel, stride=stride, dilation=dilation, padding=padding, groups=groups)
 
 
-def init_conv3d(
-    rng: np.random.Generator,
-    in_f: int,
-    out_f: int,
-    k: tuple[int, int, int] = (3, 3, 3),
-    *,
-    bias: bool = False,
-    dtype=None,
-) -> Conv3dWeights:
-    dtype = dtype or default_dtype()
-    padding = tuple(ki // 2 for ki in k)
-    kernel = _uniform(rng, (out_f, in_f) + k, in_f * k[0] * k[1] * k[2], dtype)
-    b = Tensor(np.zeros(out_f), requires_grad=True, dtype=dtype) if bias else None
-    return Conv3dWeights(kernel, b, padding=padding)
+def init_conv3d(rng: np.random.Generator, in_f: int, out_f: int, k: tuple[int, int, int] = (3, 3, 3)) -> Conv3dWeights:
+    return Conv3dWeights(_uniform(rng, (out_f, in_f) + k, in_f * k[0] * k[1] * k[2]))
 
 
-def init_conv_t2d(rng: np.random.Generator, in_c: int, out_c: int, *, bias: bool = False, dtype=None) -> ConvT2dWeights:
-    dtype = dtype or default_dtype()
-    kernel = _uniform(rng, (in_c, out_c, 2, 2), in_c * 4, dtype)
-    b = Tensor(np.zeros(out_c), requires_grad=True, dtype=dtype) if bias else None
-    return ConvT2dWeights(kernel, b)
+def init_conv_t2d(rng: np.random.Generator, in_c: int, out_c: int) -> ConvT2dWeights:
+    return ConvT2dWeights(_uniform(rng, (in_c, out_c, 2, 2), in_c * 4))
 
 
-def init_layer_norm(c: int, dtype=None) -> LayerNormWeights:
-    dtype = dtype or default_dtype()
-    return LayerNormWeights(
-        Tensor(np.ones(c), requires_grad=True, dtype=dtype),
-        Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
-    )
+def init_layer_norm(c: int) -> LayerNormWeights:
+    return LayerNormWeights(Tensor(np.ones(c), requires_grad=True), Tensor(np.zeros(c), requires_grad=True))
 
 
 # -- conv2d ---------------------------------------------------------------------
@@ -285,28 +255,18 @@ def conv2d(x: Tensor, w: Conv2dWeights) -> Tensor:
     return _conv_gemm(x, w, n, c, out_c, g, kh, kw, s, d, p)
 
 
-def _bias_vjp(g: np.ndarray) -> np.ndarray:
-    """Bias gradient: g summed over the batch and every spatial axis."""
-    return g.sum(axis=(0,) + tuple(range(2, g.ndim)))
-
-
 def _conv1x1(x: Tensor, w: Conv2dWeights, n, c, out_c, h, wd) -> Tensor:
     xd = x.data.reshape(n, c, h * wd)
     kd = w.kernel.data.reshape(out_c, c)
     out = np.matmul(kd, xd).reshape(n, out_c, h, wd)
-    if w.bias is not None:
-        out = out + w.bias.data.reshape(1, out_c, 1, 1)
-    parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
 
     def vjp(g):
         gf = g.reshape(n, out_c, h * wd)
         gx = np.matmul(kd.T, gf).reshape(x.shape)
-        gw = np.matmul(gf, xd.transpose(0, 2, 1)).sum(axis=0).reshape(w.kernel.shape)
-        if w.bias is None:
-            return gx, gw
-        return gx, gw, _bias_vjp(g)
+        gk = np.matmul(gf, xd.transpose(0, 2, 1)).sum(axis=0).reshape(w.kernel.shape)
+        return gx, gk
 
-    return Tensor._from_op(out, "conv1x1", parents, vjp)
+    return Tensor._from_op(out, "conv1x1", (x, w.kernel), vjp)
 
 
 def _conv_depthwise(x: Tensor, w: Conv2dWeights, kh, kw, s, d, p) -> Tensor:
@@ -328,9 +288,6 @@ def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, d
     for t in ft.live:
         out += taps[:, t] * ft.tap(ft.xf, t)
     out = ft.crop(out)
-    if w.bias is not None:
-        out = out + w.bias.data.reshape((1, c) + (1,) * len(ksize))
-    parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
 
     def vjp(g):
         gwide = ft.embed(g)
@@ -340,12 +297,9 @@ def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, d
         for t in ft.live:
             gtaps[:, t] = np.einsum("ncl,ncl->c", gwide, ft.tap(ft.xf, t))
             ft.tap(gxf, t)[...] += taps[:, t] * gwide
-        gx = ft.unpad(gxf)
-        if w.bias is None:
-            return gx, gk
-        return gx, gk, _bias_vjp(g)
+        return ft.unpad(gxf), gk
 
-    return Tensor._from_op(out, op, parents, vjp)
+    return Tensor._from_op(out, op, (x, w.kernel), vjp)
 
 
 def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, groups, kh, kw, s, d, p) -> Tensor:
@@ -370,9 +324,6 @@ def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, groups, kh, kw, s, d, p
         out += np.matmul(np.ascontiguousarray(kd[:, :, ki, kj]), ft.tap(ft.xf, t), out=prod)
     del prod
     out = ft.crop(out)
-    if w.bias is not None:
-        out = out + w.bias.data.reshape(1, out_c, 1, 1)
-    parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
 
     def vjp(g_out):
         gwide = ft.embed(g_out)  # (N, O, L)
@@ -383,35 +334,32 @@ def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, groups, kh, kw, s, d, p
             ki, kj = divmod(t, kw)
             gk[:, :, ki, kj] = np.matmul(gwide, ft.tap(ft.xf, t).transpose(0, 2, 1)).sum(axis=0)
             ft.tap(gxf, t)[...] += np.matmul(np.ascontiguousarray(kd[:, :, ki, kj]).T, gwide, out=prod)
-        gx = ft.unpad(gxf)
         if groups > 1:
             gk = gk.reshape(blocks)[diag, :, diag].reshape(w.kernel.shape)
-        if w.bias is None:
-            return gx, gk
-        return gx, gk, _bias_vjp(g_out)
+        return ft.unpad(gxf), gk
 
-    return Tensor._from_op(out, "conv2d", parents, vjp)
+    return Tensor._from_op(out, "conv2d", (x, w.kernel), vjp)
 
 
 # -- conv3d ---------------------------------------------------------------------
 
 
 def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
-    """3-D cross-correlation at stride 1.  x: (N, F, D, H, W)."""
+    """3-D cross-correlation at stride 1 with "same" padding.  x: (N, F, D, H, W)."""
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects (N, F, D, H, W), got {x.shape}")
     n, f, dd, h, wd = x.shape
     out_f, in_f, kd, kh, kw = w.kernel.shape
     if f != in_f:
         raise ShapeError(f"conv3d: input features {f} != kernel features {in_f}")
-    pd, ph, pw = w.padding
+    pd, ph, pw = pad = (kd // 2, kh // 2, kw // 2)
     do = dd + 2 * pd - kd + 1
     ho = h + 2 * ph - kh + 1
     wo = wd + 2 * pw - kw + 1
     if min(do, ho, wo) <= 0:
         raise ShapeError(f"conv3d: empty output for input {x.shape} kernel {w.kernel.shape}")
     if f == 1 and out_f == 1:
-        return _conv_per_channel(x, w, w.padding, (kd, kh, kw), 1, 1, "conv3d")
+        return _conv_per_channel(x, w, pad, (kd, kh, kw), 1, 1, "conv3d")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw))) if (pd or ph or pw) else x.data
     kdta = w.kernel.data
 
@@ -432,13 +380,10 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
         # (N, F, H, W, kD, kH, kW) -> rows ordered tap-major, then feature
         np.copyto(cols.reshape(n, kd, kh, kw, f, ho, wo), windows[:, :, d].transpose(0, 4, 5, 6, 1, 2, 3))
         np.matmul(km, cols, out=out_slices[:, :, d])
-    if w.bias is not None:
-        out = out + w.bias.data.reshape(1, out_f, 1, 1, 1)
-    parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
 
     def vjp(g):
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(kdta)
+        gk = np.zeros_like(kdta)
         ell = do * ho * wo
         gf = g.reshape(n, out_f, ell)
         cols_b = np.empty((n, f * kd * kh * kw, ell), dtype=xp.dtype)
@@ -446,17 +391,14 @@ def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
         for t, ds_, rs, cs in taps():
             grid_b[:, t * f : (t + 1) * f] = xp[:, :, ds_, rs, cs]
         gkm = np.matmul(gf, cols_b.transpose(0, 2, 1)).sum(axis=0)  # (outF, K*F)
-        gw[:] = gkm.reshape(out_f, kd, kh, kw, f).transpose(0, 4, 1, 2, 3)
-        km = kdta.transpose(0, 2, 3, 4, 1).reshape(out_f, -1)
+        gk[:] = gkm.reshape(out_f, kd, kh, kw, f).transpose(0, 4, 1, 2, 3)
         gcols = np.matmul(km.T, gf)  # (N, K*F, L)
         for t, ds_, rs, cs in taps():
             gxp[:, :, ds_, rs, cs] += gcols[:, t * f : (t + 1) * f, :].reshape(n, f, do, ho, wo)
         gx = gxp[:, :, pd : pd + dd, ph : ph + h, pw : pw + wd] if (pd or ph or pw) else gxp
-        if w.bias is None:
-            return gx, gw
-        return gx, gw, _bias_vjp(g)
+        return gx, gk
 
-    return Tensor._from_op(out, "conv3d", parents, vjp)
+    return Tensor._from_op(out, "conv3d", (x, w.kernel), vjp)
 
 
 def conv3d_on_features(x: Tensor, w: Conv3dWeights) -> Tensor:
@@ -488,31 +430,18 @@ def conv_transpose2d(x: Tensor, w: ConvT2dWeights) -> Tensor:
         for kj in range(2):
             tap = np.matmul(kd[:, :, ki, kj].T, xf).reshape(n, out_c, h, wd)
             out[:, :, ki::2, kj::2] = tap
-    if w.bias is not None:
-        out = out + w.bias.data.reshape(1, out_c, 1, 1)
-    parents = (x, w.kernel) if w.bias is None else (x, w.kernel, w.bias)
 
     def vjp(g):
         gx = np.zeros((n, c, h * wd), dtype=x.data.dtype)
-        gw = np.zeros_like(kd)
+        gk = np.zeros_like(kd)
         for ki in range(2):
             for kj in range(2):
                 gt = g[:, :, ki::2, kj::2].reshape(n, out_c, h * wd)
                 gx += np.matmul(kd[:, :, ki, kj], gt)
-                gw[:, :, ki, kj] = np.matmul(xf, gt.transpose(0, 2, 1)).sum(axis=0)
-        if w.bias is None:
-            return gx.reshape(x.shape), gw
-        return gx.reshape(x.shape), gw, _bias_vjp(g)
+                gk[:, :, ki, kj] = np.matmul(xf, gt.transpose(0, 2, 1)).sum(axis=0)
+        return gx.reshape(x.shape), gk
 
-    return Tensor._from_op(out, "conv_t2d", parents, vjp)
-
-
-def init_downsample(rng: np.random.Generator, c: int, *, dtype=None) -> Conv2dWeights:
-    return init_conv2d(rng, c, 2 * c, 3, stride=2, padding=1, dtype=dtype)
-
-
-def init_upsample(rng: np.random.Generator, c: int, *, dtype=None) -> ConvT2dWeights:
-    return init_conv_t2d(rng, c, c // 2, dtype=dtype)
+    return Tensor._from_op(out, "conv_t2d", (x, w.kernel), vjp)
 
 
 # -- channel shuffle ---------------------------------------------------------------

@@ -180,6 +180,8 @@ def add_noniid_gaussian(
 
 def _stripe_band(y: np.ndarray, band: int, seed: int, frac_min, frac_max, amplitude) -> StripeEntry:
     w = y.shape[1]
+    if w < 20:
+        raise ContractError(f"stripe noise needs width >= 20 columns, got {w}")
     st = _stream(seed, _TAG_STRIPE, band)
     frac = st.uniform(frac_min, frac_max)
     n = _column_count(frac, w, frac_min, frac_max)
@@ -196,8 +198,6 @@ def add_stripe(
 ) -> tuple[np.ndarray, DegradationReport]:
     """Additive constant-per-column stripes on ceil(B/3) random bands."""
     y = _check_cube(x)
-    if y.shape[1] < 20:
-        raise ContractError(f"stripe noise needs width >= 20 columns, got {y.shape[1]}")
     if bands is None:
         bands = _affected_bands(seed, _TAG_STRIPE, y.shape[2])
     entries = [_stripe_band(y, band, seed, frac_min, frac_max, amplitude) for band in bands]
@@ -209,6 +209,8 @@ def add_stripe(
 
 def _deadline_band(y: np.ndarray, band: int, seed: int, frac_min, frac_max) -> DeadlineEntry:
     w = y.shape[1]
+    if w < 20:
+        raise ContractError(f"deadline noise needs width >= 20 columns, got {w}")
     st = _stream(seed, _TAG_DEADLINE, band)
     frac = st.uniform(frac_min, frac_max)
     n = _column_count(frac, w, frac_min, frac_max)
@@ -238,8 +240,6 @@ def add_deadline(
 ) -> tuple[np.ndarray, DegradationReport]:
     """Zeroed column runs (width 1-3) on ceil(B/3) random bands."""
     y = _check_cube(x)
-    if y.shape[1] < 20:
-        raise ContractError(f"deadline noise needs width >= 20 columns, got {y.shape[1]}")
     if bands is None:
         bands = _affected_bands(seed, _TAG_DEADLINE, y.shape[2])
     entries = [_deadline_band(y, band, seed, frac_min, frac_max) for band in bands]
@@ -301,13 +301,9 @@ def compose_case(x: np.ndarray, case_id: int, seed: int, spec: NoiseSpec | None 
         for band in range(y.shape[2]):
             flags = _stream(seed, _TAG_CASE5, band).random(3) < 0.5
             if flags[0]:
-                if y.shape[1] < 20:
-                    raise ContractError(f"stripe noise needs width >= 20 columns, got {y.shape[1]}")
                 report.stripe.append(_stripe_band(y, band, seed, spec.stripe_frac_min,
                                                   spec.stripe_frac_max, spec.stripe_amplitude))
             if flags[1]:
-                if y.shape[1] < 20:
-                    raise ContractError(f"deadline noise needs width >= 20 columns, got {y.shape[1]}")
                 report.deadline.append(_deadline_band(y, band, seed, spec.deadline_frac_min,
                                                       spec.deadline_frac_max))
             if flags[2]:

@@ -8,8 +8,10 @@ them onto leaf tensors, and frees the graph.
 
 Arithmetic runs in float32 by default; ``use_dtype(numpy.float64)`` switches
 newly created leaves to float64 for finite-difference gradient checking.
-Broadcasting is deliberately not supported beyond scalar * tensor: mismatched
-shapes raise ``ShapeError`` instead of silently expanding.
+Every op is a plain function (``add``, ``scale``, ``scale_by``, ...); ``Tensor``
+overloads no operators.  Broadcasting is deliberately not supported beyond
+scaling by a 0-d tensor (``scale_by``): mismatched shapes raise ``ShapeError``
+instead of silently expanding.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ _CHECK_FINITE = False
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-
-
-def default_dtype() -> type:
-    """dtype used for newly created leaf tensors."""
-    return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -137,39 +134,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar ----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            if other.ndim == 0 and self.ndim != 0:
-                return scale_by(self, other)
-            return mul_elementwise(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            if other.ndim != 0:
-                raise ShapeError("tensor division only supported by a scalar")
-            return scale_by(self, reciprocal(other))
-        return scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def backward(self) -> None:
         backward(self)

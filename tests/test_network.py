@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -83,12 +85,6 @@ class TestForward:
 
 
 class TestParamCount:
-    def test_pointwise_conv_with_bias(self):
-        from hcanet.nn import init_conv2d
-
-        w = init_conv2d(np.random.default_rng(0), 4, 4, 1, bias=True)
-        assert sum(t.size for _, t in w.named_params()) == 20
-
     def test_width_doubling_quadruples(self):
         small = HcaNet(tiny_config(base_width=8), seed=0).param_count()
         big = HcaNet(tiny_config(base_width=16), seed=0).param_count()
@@ -178,6 +174,17 @@ class TestCheckpoint:
         p.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
             HcaNet.load(p)
+
+    @pytest.mark.parametrize("config,digest", [
+        (desk_config(8), "81a06def3a95fdbcef19bf4fa4f61ae2a645ce624fa4fc21c0328d886ac5bc38"),
+        (paper_config(31), "1e534cac5dc949b542cbf157f3f2a02a8584bfa5ac4232d1ee556c9397dd43f5"),
+    ], ids=["desk", "paper"])
+    def test_seed0_checkpoint_bytes_are_pinned(self, config, digest):
+        # pins the init stream, the parameter order and the file format at once:
+        # a refactor of the layer API must leave these bytes as they are
+        buf = io.BytesIO()
+        HcaNet(config, seed=0)._write(buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
 
 
 def test_construction_is_seed_deterministic():

@@ -140,23 +140,20 @@ class TestConv3d:
         np.testing.assert_allclose(y2[:, 0], y1[:, 0], atol=1e-5)
         np.testing.assert_allclose(y2[:, 1], y1[:, 0], atol=1e-5)
 
-    @pytest.mark.parametrize("in_f,out_f,bias", [(1, 16, False), (2, 3, True)])
-    def test_multifeature_matches_direct_loop(self, in_f, out_f, bias):
-        # stem-shaped: 3x3x3 kernel, padding (1, 1, 1), batch > 1, H != W
+    @pytest.mark.parametrize("in_f,out_f,batch_of_one", [(1, 16, False), (2, 3, True)])
+    def test_multifeature_matches_direct_loop(self, in_f, out_f, batch_of_one):
+        # stem-shaped: 3x3x3 kernel, padding (1, 1, 1), H != W; batch 1 is the restore path
         gen = rng()
-        x = gen.standard_normal((2, in_f, 5, 9, 10)).astype(np.float32)
-        w = nn.init_conv3d(gen, in_f, out_f, bias=bias)
-        if bias:
-            w.bias.data[:] = gen.standard_normal(out_f)
+        n = 1 if batch_of_one else 2
+        x = gen.standard_normal((n, in_f, 5, 9, 10)).astype(np.float32)
+        w = nn.init_conv3d(gen, in_f, out_f)
         xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
         k = w.kernel.data.astype(np.float64)
-        want = np.zeros((2, out_f, 5, 9, 10))
+        want = np.zeros((n, out_f, 5, 9, 10))
         for a in range(3):
             for b in range(3):
                 for c in range(3):
                     want += np.einsum("of,nfdhw->nodhw", k[:, :, a, b, c], xp[:, :, a : a + 5, b : b + 9, c : c + 10])
-        if bias:
-            want += w.bias.data.reshape(1, out_f, 1, 1, 1)
         np.testing.assert_allclose(nn.conv3d(Tensor(x), w).data, want, rtol=0, atol=1e-5)
 
     def test_stem_forward_peak_memory_is_slab_sized(self):
@@ -222,18 +219,13 @@ def check_conv2d_against_direct(x, w):
     k = w.kernel.data
     xt = Tensor(x, requires_grad=True)
     y = nn.conv2d(xt, w)
-    want = direct_conv2d(x, k, **kw_)
-    if w.bias is not None:
-        want += w.bias.data.reshape(1, -1, 1, 1)
-    np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(y.data, direct_conv2d(x, k, **kw_), rtol=0, atol=1e-5)
     g = np.random.default_rng(7).standard_normal(y.shape).astype(np.float32)
-    grads = y.node.vjp(g)
+    got_gx, got_gk = y.node.vjp(g)
     gx, gk = direct_conv2d_vjp(x, k, g, **kw_)
     # kernel gradients sum hundreds of float32 products, hence the relative term
-    np.testing.assert_allclose(grads[0], gx, rtol=1e-5, atol=1e-5)
-    np.testing.assert_allclose(grads[1], gk, rtol=1e-5, atol=1e-5)
-    if w.bias is not None:
-        np.testing.assert_allclose(grads[2], g.astype(np.float64).sum(axis=(0, 2, 3)), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(got_gx, gx, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(got_gk, gk, rtol=1e-5, atol=1e-5)
 
 
 def direct_conv3d_1to1(x, k, pad):
@@ -295,9 +287,7 @@ class TestFlatCore:
     def test_gemm_matches_direct_loop(self, dil, same_pad):
         gen = np.random.default_rng(dil)
         x = gen.standard_normal((2, 3, 9, 11)).astype(np.float32)
-        w = nn.init_conv2d(gen, 3, 4, 3, dilation=dil, padding=dil if same_pad else 0, bias=True)
-        w.bias.data[:] = gen.standard_normal(4)
-        check_conv2d_against_direct(x, w)
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 4, 3, dilation=dil, padding=dil if same_pad else 0))
 
     @pytest.mark.parametrize("hw,k,dil,pad", [((2, 2), 3, 2, 2), ((2, 2), 3, 3, 3), ((1, 1), 2, 2, 1)])
     def test_taps_reading_only_padding(self, hw, k, dil, pad):
@@ -314,27 +304,26 @@ class TestFlatCore:
         x = gen.standard_normal((2, 5, 8, 10)).astype(np.float32)
         check_conv2d_against_direct(x, nn.init_conv2d(gen, 5, 5, 3, stride=stride, groups=5))
 
-    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("batch_of_one", [False, True])
     @pytest.mark.parametrize(
         "hw,stride,pad,dil",
         [((8, 10), 2, 1, 1), ((9, 7), 2, 1, 1), ((8, 10), 2, 0, 1), ((9, 7), 2, 0, 1),
          ((10, 13), 3, 1, 1), ((11, 8), 3, 0, 1), ((12, 9), 2, 2, 2), ((9, 12), 2, 0, 2)],
     )
-    def test_strided_and_grouped_match_direct_loop(self, hw, stride, pad, dil, bias):
+    def test_strided_and_grouped_match_direct_loop(self, hw, stride, pad, dil, batch_of_one):
+        # batch 1 is what paper-preset training and every restore run
         gen = np.random.default_rng(stride * 10 + pad)
-        x = gen.standard_normal((2, 4) + hw).astype(np.float32)
+        x = gen.standard_normal((1 if batch_of_one else 2, 4) + hw).astype(np.float32)
         for groups, out_c in ((1, 8), (2, 6), (4, 4), (4, 8)):  # dense, grouped, depthwise, 1->2 per group
-            w = nn.init_conv2d(gen, 4, out_c, 3, stride=stride, dilation=dil, padding=pad, groups=groups, bias=bias)
-            if bias:
-                w.bias.data[:] = gen.standard_normal(out_c)
+            w = nn.init_conv2d(gen, 4, out_c, 3, stride=stride, dilation=dil, padding=pad, groups=groups)
             check_conv2d_against_direct(x, w)
-        check_conv2d_against_direct(x, nn.init_conv2d(gen, 4, 6, 3, dilation=dil, padding=pad, groups=2, bias=bias))
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 4, 6, 3, dilation=dil, padding=pad, groups=2))
 
     def test_strided_vjp_peak_memory(self):
         import tracemalloc
 
         x = Tensor(rng().standard_normal((2, 16, 32, 32)).astype(np.float32), requires_grad=True)
-        w = nn.init_downsample(rng(), 16)
+        w = nn.init_conv2d(rng(), 16, 32, 3, stride=2)
         y = nn.conv2d(x, w)
         g = np.ones(y.shape, dtype=np.float32)
         tracemalloc.start()
@@ -353,7 +342,7 @@ class TestFlatCore:
         x = gen.standard_normal((2, 1, 6, 7, 9)).astype(np.float32)
         w = nn.init_conv3d(gen, 1, 1, ksize)
         y = nn.conv3d(Tensor(x, requires_grad=True), w)
-        want, want_vjp = direct_conv3d_1to1(x, w.kernel.data, w.padding)
+        want, want_vjp = direct_conv3d_1to1(x, w.kernel.data, tuple(k // 2 for k in ksize))
         np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-5)
         g = gen.standard_normal(y.shape).astype(np.float32)
         (gx, gk), (want_gx, want_gk) = y.node.vjp(g), want_vjp(g)
@@ -367,7 +356,7 @@ class TestFlatCore:
         x = gen.standard_normal(shape).astype(np.float32)
         w = nn.init_conv3d(gen, 1, 1, ksize)
         got = nn.conv3d(Tensor(x), w).data
-        assert np.array_equal(got, tap_loop_conv3d_1to1(x, w.kernel.data, w.padding))
+        assert np.array_equal(got, tap_loop_conv3d_1to1(x, w.kernel.data, tuple(k // 2 for k in ksize)))
 
     @pytest.mark.parametrize("shape,dil", [((4, 48, 32, 32), 1), ((1, 96, 16, 16), 1), ((2, 5, 7, 9), 2)])
     def test_depthwise_forward_bit_identical_to_tap_loop(self, shape, dil):
@@ -434,11 +423,11 @@ class TestChannelShuffle:
 class TestResampling:
     def test_downsample_shape(self):
         x = Tensor(np.zeros((1, 4, 8, 8), dtype=np.float32))
-        assert nn.conv2d(x, nn.init_downsample(rng(), 4)).shape == (1, 8, 4, 4)
+        assert nn.conv2d(x, nn.init_conv2d(rng(), 4, 8, 3, stride=2)).shape == (1, 8, 4, 4)
 
     def test_upsample_shape(self):
         x = Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32))
-        assert nn.conv_transpose2d(x, nn.init_upsample(rng(), 8)).shape == (1, 4, 8, 8)
+        assert nn.conv_transpose2d(x, nn.init_conv_t2d(rng(), 8, 4)).shape == (1, 4, 8, 8)
 
     def test_transposed_conv_scatter_against_loop(self):
         gen = rng()

@@ -189,6 +189,10 @@ class TestCases:
         assert rep.stripe and rep.deadline and rep.impulse
         assert y.shape == x.shape
 
+    def test_case5_narrow_cube_rejected(self):
+        with pytest.raises(ContractError, match="needs width >= 20 columns, got 16"):
+            noise.compose_case(clean(w=16), 5, seed=0)
+
     def test_determinism(self):
         x = clean()
         for case in (1, 2, 3, 4, 5):
