@@ -4,8 +4,7 @@ stdout carries exactly one machine-readable JSON document per command;
 diagnostics go to stderr.  Exit codes: 0 success, 2 configuration or usage
 error, 3 file or format error, 4 numerical failure.  Every command with file
 outputs writes a RunManifest beside them, canonical JSON with enough
-configuration (and input hashes) to reproduce the artifacts bit-for-bit in
-single-threaded mode (HCANET_THREADS=0).
+configuration (and input hashes) to reproduce the artifacts bit-for-bit.
 
 Config precedence for `train`: command-line flags > --config file sections
 ("train", "network", "noise", "loss") > built-in defaults.
@@ -37,7 +36,7 @@ from .loss import LossConfig
 from .metrics import evaluate
 from .network import HcaNet, NetworkConfig, desk_config
 from .noise import NoiseSpec, apply_noise
-from .train import TrainConfig, _worker_count, train
+from .train import TrainConfig, train
 
 EXIT_CODES = {"ok": 0, "config": 2, "io": 3, "numerics": 4}
 
@@ -63,7 +62,6 @@ class RunManifest:
     inputs: dict
     outputs: tuple[str, ...]
     seed: int | None = None
-    threads: int = 0
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
@@ -97,7 +95,6 @@ def _manifest_for(command, configs, inputs, outputs, seed=None) -> RunManifest:
         inputs=inputs,
         outputs=tuple(outputs),
         seed=seed,
-        threads=_worker_count(),
     )
 
 
@@ -218,6 +215,7 @@ def cmd_train(args) -> int:
         file=sys.stderr,
     )
     result = train(train_cfg, dataset, noise_spec, net, out_dir=args.out, loss_cfg=loss_cfg)
+    best = result.best_path if result.best_epoch >= 0 else None  # written only when validation ran
 
     manifest_path = os.path.join(args.out, "manifest.json")
     _manifest_for(
@@ -229,16 +227,15 @@ def cmd_train(args) -> int:
             "train": json.loads(train_cfg.to_json()),
         },
         inputs={"data": {"path": args.data, "sha256": _sha256_text(data_manifest.to_json())}},
-        outputs=[result.log_path, result.best_path, result.last_path],
+        outputs=[p for p in (result.log_path, best, result.last_path) if p is not None],
         seed=train_cfg.seed,
     ).save(manifest_path)
 
-    best_exists = result.best_epoch >= 0
     _emit(
         {
-            "best": result.best_path if best_exists else None,
-            "best_epoch": result.best_epoch if best_exists else None,
-            "best_val_psnr_db": result.best_val_psnr_db if best_exists else None,
+            "best": best,
+            "best_epoch": result.best_epoch if best else None,
+            "best_val_psnr_db": result.best_val_psnr_db if best else None,
             "epochs": len(result.history),
             "last": result.last_path,
             "log": result.log_path,

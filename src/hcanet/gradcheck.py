@@ -12,6 +12,7 @@ and network presets sample coordinates to stay fast.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,87 +129,75 @@ def _weighted_loss(out_fn: Callable[[], Tensor], rng: np.random.Generator) -> Ca
     return fn
 
 
+def _case_stream(seed: int, name: str) -> np.random.Generator:
+    """The Philox stream of one preset_ops case, keyed by (seed, case name) as
+    noise keys bands, so adding or deleting a case moves no other case's draws."""
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, zlib.crc32(name.encode())], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def preset_ops(seed: int = 0) -> GradCheckResult:
     """Exhaustive FD check of every differentiable primitive."""
     from . import nn
     from . import tensor as T
 
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    def leaf(*shape, offset=0.0):
-        return Tensor(rng.standard_normal(shape) + offset, requires_grad=True, dtype=np.float64)
-
     parts = []
 
-    def case(name, out_fn, params, max_coords=None):
-        res = check_gradients(_weighted_loss(out_fn, rng), params, max_coords=max_coords, seed=seed)
+    def case(name, out_fn, **leaves):
+        """Check out_fn(*leaves).  Each leaf is a shape, drawn N(0, 1), or a
+        function of the rng that draws it; the leaves, then the loss weighting,
+        come from the case's own stream."""
+        rng = _case_stream(seed, name)
+        params = {
+            p: Tensor(spec(rng) if callable(spec) else rng.standard_normal(spec), requires_grad=True,
+                      dtype=np.float64)
+            for p, spec in leaves.items()
+        }
+        res = check_gradients(_weighted_loss(lambda: out_fn(*params.values()), rng), params, seed=seed)
         for c in res.checks:
             c.name = f"{name}.{c.name}"
         parts.append(res)
 
-    with T.use_dtype(np.float64):
-        a, b = leaf(3, 4), leaf(3, 4)
-        case("add", lambda: T.add(a, b), {"a": a, "b": b})
-        case("sub", lambda: T.sub(a, b), {"a": a, "b": b})
-        case("mul", lambda: T.mul_elementwise(a, b), {"a": a, "b": b})
-        case("scale", lambda: T.scale(a, -1.7), {"a": a})
-        case("add_scalar", lambda: T.add_scalar(a, 0.31), {"a": a})
-        s = Tensor(np.asarray(1.3), requires_grad=True, dtype=np.float64)
-        case("scale_by", lambda: T.scale_by(a, s), {"a": a, "s": s})
-        r = leaf(3, 4, offset=3.0)
-        case("reciprocal", lambda: T.reciprocal(r), {"x": r})
-        aw = Tensor(np.where(rng.standard_normal((3, 4)) < 0, -1.0, 1.0) * (0.2 + rng.random((3, 4))),
-                    requires_grad=True, dtype=np.float64)
-        case("abs", lambda: T.abs_(aw), {"x": aw})
-        case("sum_all", lambda: T.sum_all(a), {"a": a})
-        case("mean_all", lambda: T.mean_all(a), {"a": a})
-        m1, m2 = leaf(3, 4), leaf(4, 2)
-        case("matmul2d", lambda: T.matmul(m1, m2), {"a": m1, "b": m2})
-        b1, b2 = leaf(2, 3, 4), leaf(2, 4, 5)
-        case("matmul3d", lambda: T.matmul(b1, b2), {"a": b1, "b": b2})
-        sx = leaf(4, 5)
-        case("softmax", lambda: T.softmax(sx, axis=-1), {"x": sx})
-        sx0 = leaf(4, 5)
-        case("softmax_ax0", lambda: T.softmax(sx0, axis=0), {"x": sx0})
-        gx = leaf(3, 4)
-        case("gelu", lambda: T.gelu(gx), {"x": gx})
-        vx = leaf(2, 3, 4)
-        case("reshape", lambda: T.reshape(vx, (3, 8)), {"x": vx})
-        case("permute", lambda: T.permute(vx, (2, 0, 1)), {"x": vx})
-        c1, c2 = leaf(2, 3), leaf(2, 2)
-        case("concat", lambda: T.concat([c1, c2], axis=1), {"a": c1, "b": c2})
-        sl = leaf(4, 6)
-        case("slice", lambda: T.slice_(sl, (slice(1, 3), slice(None, None, 2))), {"x": sl})
+    def conv2d(**kw):
+        return lambda x, k: nn.conv2d(x, nn.Conv2dWeights(k, **kw))
 
-        x = leaf(2, 4, 6, 6)
-        w = nn.init_conv2d(rng, 4, 3, 3)
-        case("conv2d_3x3", lambda: nn.conv2d(x, w),
-             {"x": x, "kernel": w.kernel})
-        ws = nn.init_conv2d(rng, 4, 3, 3, stride=2)
-        case("conv2d_s2", lambda: nn.conv2d(x, ws), {"x": x, "kernel": ws.kernel})
-        wd2 = nn.init_conv2d(rng, 4, 4, 3, dilation=2)
-        case("conv2d_d2", lambda: nn.conv2d(x, wd2), {"x": x, "kernel": wd2.kernel})
-        wd3 = nn.init_conv2d(rng, 4, 4, 3, dilation=3)
-        case("conv2d_d3", lambda: nn.conv2d(x, wd3), {"x": x, "kernel": wd3.kernel})
-        wg = nn.init_conv2d(rng, 4, 6, 3, groups=2)
-        case("conv2d_g2", lambda: nn.conv2d(x, wg), {"x": x, "kernel": wg.kernel})
-        wdw = nn.init_conv2d(rng, 4, 4, 3, groups=4)
-        case("conv2d_dw", lambda: nn.conv2d(x, wdw), {"x": x, "kernel": wdw.kernel})
-        w1 = nn.init_conv2d(rng, 4, 5, 1)
-        case("conv2d_1x1", lambda: nn.conv2d(x, w1), {"x": x, "kernel": w1.kernel})
-        x3 = leaf(2, 1, 4, 5, 5)
-        w3 = nn.init_conv3d(rng, 1, 1)
-        case("conv3d_1to1", lambda: nn.conv3d(x3, w3), {"x": x3, "kernel": w3.kernel})
-        w3m = nn.init_conv3d(rng, 1, 3)
-        case("conv3d_stem", lambda: nn.conv3d(x3, w3m), {"x": x3, "kernel": w3m.kernel})
-        wt = nn.init_conv_t2d(rng, 4, 2)
-        case("conv_t2d", lambda: nn.conv_transpose2d(x, wt), {"x": x, "kernel": wt.kernel})
-        ln = nn.init_layer_norm(4)
-        ln.gamma.data += rng.standard_normal(4) * 0.1
-        ln.beta.data += rng.standard_normal(4) * 0.1
-        case("layer_norm", lambda: nn.layer_norm(x, ln),
-             {"x": x, "gamma": ln.gamma, "beta": ln.beta})
-        case("channel_shuffle", lambda: nn.channel_shuffle(x, 2), {"x": x})
+    def conv3d(x, k):
+        return nn.conv3d(x, nn.Conv3dWeights(k))
+
+    m, fmap = (3, 4), (2, 4, 6, 6)
+    with T.use_dtype(np.float64):
+        case("add", T.add, a=m, b=m)
+        case("sub", T.sub, a=m, b=m)
+        case("mul", T.mul_elementwise, a=m, b=m)
+        case("scale", lambda a: T.scale(a, -1.7), a=m)
+        case("add_scalar", lambda a: T.add_scalar(a, 0.31), a=m)
+        case("scale_by", T.scale_by, a=m, s=())
+        case("reciprocal", T.reciprocal, x=lambda rng: rng.standard_normal(m) + 3.0)
+        # |x| away from the kink at 0
+        case("abs", T.abs_, x=lambda rng: np.where(rng.standard_normal(m) < 0, -1.0, 1.0) * (0.2 + rng.random(m)))
+        case("sum_all", T.sum_all, a=m)
+        case("mean_all", T.mean_all, a=m)
+        case("matmul2d", T.matmul, a=(3, 4), b=(4, 2))
+        case("matmul3d", T.matmul, a=(2, 3, 4), b=(2, 4, 5))
+        case("softmax", lambda x: T.softmax(x, axis=-1), x=(4, 5))
+        case("softmax_ax0", lambda x: T.softmax(x, axis=0), x=(4, 5))
+        case("gelu", T.gelu, x=m)
+        case("reshape", lambda x: T.reshape(x, (3, 8)), x=(2, 3, 4))
+        case("permute", lambda x: T.permute(x, (2, 0, 1)), x=(2, 3, 4))
+        case("concat", lambda a, b: T.concat([a, b], axis=1), a=(2, 3), b=(2, 2))
+        case("slice", lambda x: T.slice_(x, (slice(1, 3), slice(None, None, 2))), x=(4, 6))
+        case("conv2d_3x3", conv2d(), x=fmap, kernel=(3, 4, 3, 3))
+        case("conv2d_s2", conv2d(stride=2), x=fmap, kernel=(3, 4, 3, 3))
+        case("conv2d_d2", conv2d(dilation=2), x=fmap, kernel=(4, 4, 3, 3))
+        case("conv2d_d3", conv2d(dilation=3), x=fmap, kernel=(4, 4, 3, 3))
+        case("conv2d_dw", conv2d(), x=fmap, kernel=(4, 1, 3, 3))
+        case("conv2d_1x1", conv2d(), x=fmap, kernel=(5, 4, 1, 1))
+        case("conv3d_1to1", conv3d, x=(2, 1, 4, 5, 5), kernel=(1, 1, 3, 3, 3))
+        case("conv3d_stem", conv3d, x=(2, 1, 4, 5, 5), kernel=(3, 1, 3, 3, 3))
+        case("conv_t2d", lambda x, k: nn.conv_transpose2d(x, nn.ConvT2dWeights(k)), x=fmap, kernel=(4, 2, 2, 2))
+        case("layer_norm", lambda x, g, b: nn.layer_norm(x, nn.LayerNormWeights(g, b)), x=fmap,
+             gamma=lambda rng: 1.0 + 0.1 * rng.standard_normal(4), beta=lambda rng: 0.1 * rng.standard_normal(4))
+        case("channel_shuffle", lambda x: nn.channel_shuffle(x, 2), x=fmap)
     return _merge(parts)
 
 

@@ -1,9 +1,11 @@
 """Neural building blocks over the tensor engine.
 
-2-D convolutions (strided, dilated, grouped, depthwise), single-feature and
+2-D convolutions (dense, depthwise, strided, dilated), single-feature and
 multi-feature 3-D convolutions, 2x2 transposed convolution, channel shuffle and
 per-channel layer normalization.  All kernels follow the cross-correlation
-convention and zero padding.  Convolutions carry no bias, as in Restormer, so
+convention and zero "same" padding, ``dilation * (k - 1) // 2`` per side, so
+the kernel's shape fixes a 2-D conv's geometry: it is dense, (C', C, kH, kW),
+or depthwise, (C, 1, kH, kW).  Convolutions carry no bias, as in Restormer, so
 every conv op records the parents ``(x, kernel)`` and its vjp returns
 ``(gx, gk)``.  The ``init_*`` functions create leaves in the engine's default
 dtype; ``tensor.use_dtype`` switches it (float64 for gradient checks).
@@ -26,8 +28,7 @@ A strided convolution (the downsample) first splits the padded input into
 stride x stride phases, as pixel-unshuffle does: padded position q goes to
 phase q % stride at coarse index q // stride.  Tap i then reads phase
 (i * dilation) % stride at coarse offset (i * dilation) // stride, again one
-contiguous slice, and the wide grid keeps each coarse extent.  A grouped,
-non-depthwise conv runs as a dense conv with a block-diagonal kernel.
+contiguous slice, and the wide grid keeps each coarse extent.
 
 The multi-feature 3-D forward (the network's 1->F stem) works slab-wise: it
 gathers the taps of one output depth slice into a reused (N, K*F, H*W) column
@@ -53,13 +54,11 @@ from .tensor import Tensor, permute, reshape
 
 @dataclass
 class Conv2dWeights:
-    """kernel: (outC, inC // groups, kH, kW)."""
+    """kernel: (outC, inC, kH, kW), or (C, 1, kH, kW) for a depthwise conv."""
 
     kernel: Tensor
     stride: int = 1
     dilation: int = 1
-    padding: int = 0
-    groups: int = 1
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield prefix + "kernel", self.kernel
@@ -114,15 +113,13 @@ def init_conv2d(
     *,
     stride: int = 1,
     dilation: int = 1,
-    padding: int | None = None,
     groups: int = 1,
 ) -> Conv2dWeights:
-    if in_c % groups or out_c % groups:
-        raise ShapeError(f"channels ({in_c}->{out_c}) not divisible by groups={groups}")
-    if padding is None:
-        padding = dilation * (k - 1) // 2  # "same" spatial size at stride 1
+    """Dense conv (groups=1) or depthwise conv (groups == in_c == out_c)."""
+    if groups != 1 and not groups == in_c == out_c:
+        raise ShapeError(f"groups={groups} on {in_c}->{out_c} channels is neither dense nor depthwise")
     kernel = _uniform(rng, (out_c, in_c // groups, k, k), (in_c // groups) * k * k)
-    return Conv2dWeights(kernel, stride=stride, dilation=dilation, padding=padding, groups=groups)
+    return Conv2dWeights(kernel, stride=stride, dilation=dilation)
 
 
 def init_conv3d(rng: np.random.Generator, in_f: int, out_f: int, k: tuple[int, int, int] = (3, 3, 3)) -> Conv3dWeights:
@@ -234,25 +231,27 @@ class _FlatTaps:
 
 
 def conv2d(x: Tensor, w: Conv2dWeights) -> Tensor:
-    """Grouped 2-D cross-correlation.  x: (N, C, H, W) -> (N, C', H', W')."""
+    """2-D cross-correlation with "same" padding.  x: (N, C, H, W) -> (N, C', H', W').
+
+    The kernel picks the op: (C', C, 1, 1) at stride 1 is a pointwise GEMM,
+    (C, 1, kH, kW) a depthwise conv, (C', C, kH, kW) a dense conv.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects (N, C, H, W), got {x.shape}")
     n, c, h, wd = x.shape
-    out_c, cg, kh, kw = w.kernel.shape
-    g = w.groups
-    if c != cg * g:
-        raise ShapeError(f"conv2d: input channels {c} != kernel {cg}*groups {g}")
-    if out_c % g:
-        raise ShapeError(f"conv2d: output channels {out_c} not divisible by groups={g}")
-    s, d, p = w.stride, w.dilation, w.padding
-    if _out_extent(h, kh, s, p, d) <= 0 or _out_extent(wd, kw, s, p, d) <= 0:
+    out_c, kc, kh, kw = w.kernel.shape
+    s, d = w.stride, w.dilation
+    pad = (d * (kh - 1) // 2, d * (kw - 1) // 2)
+    if _out_extent(h, kh, s, pad[0], d) <= 0 or _out_extent(wd, kw, s, pad[1], d) <= 0:
         raise ShapeError(f"conv2d: empty output for input {x.shape} kernel {kh}x{kw}")
 
-    if kh == kw == 1 and s == 1 and p == 0 and g == 1:
+    if kh == kw == 1 and s == 1 and kc == c:
         return _conv1x1(x, w, n, c, out_c, h, wd)
-    if g == c == out_c:
-        return _conv_depthwise(x, w, kh, kw, s, d, p)
-    return _conv_gemm(x, w, n, c, out_c, g, kh, kw, s, d, p)
+    if kc == 1 and out_c == c:
+        return _conv_depthwise(x, w, kh, kw, s, d, pad)
+    if kc == c:
+        return _conv_gemm(x, w, n, c, out_c, kh, kw, s, d, pad)
+    raise ShapeError(f"conv2d: kernel {w.kernel.shape} is neither dense nor depthwise on {c} channels")
 
 
 def _conv1x1(x: Tensor, w: Conv2dWeights, n, c, out_c, h, wd) -> Tensor:
@@ -269,9 +268,9 @@ def _conv1x1(x: Tensor, w: Conv2dWeights, n, c, out_c, h, wd) -> Tensor:
     return Tensor._from_op(out, "conv1x1", (x, w.kernel), vjp)
 
 
-def _conv_depthwise(x: Tensor, w: Conv2dWeights, kh, kw, s, d, p) -> Tensor:
-    """Depthwise conv (groups == C == C')."""
-    return _conv_per_channel(x, w, (p, p), (kh, kw), d, s, "conv_dw")
+def _conv_depthwise(x: Tensor, w: Conv2dWeights, kh, kw, s, d, pad) -> Tensor:
+    """Depthwise conv: kernel (C, 1, kH, kW)."""
+    return _conv_per_channel(x, w, pad, (kh, kw), d, s, "conv_dw")
 
 
 def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, dil, stride, op: str) -> Tensor:
@@ -302,20 +301,10 @@ def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, d
     return Tensor._from_op(out, op, (x, w.kernel), vjp)
 
 
-def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, groups, kh, kw, s, d, p) -> Tensor:
-    """Dense conv: one GEMM per tap, reading each flat tap slice in place.
-
-    A grouped kernel runs as the dense kernel that is zero off its diagonal
-    blocks; no model conv is grouped and dense.
-    """
-    ft = _FlatTaps(x.data, (p, p), (kh, kw), d, s)
-    kd = w.kernel.data  # (O, C / groups, kh, kw)
-    diag = np.arange(groups)
-    blocks = (groups, out_c // groups, groups, c // groups, kh, kw)
-    if groups > 1:
-        dense = np.zeros(blocks, dtype=kd.dtype)
-        dense[diag, :, diag] = kd.reshape(blocks[:2] + blocks[3:])
-        kd = dense.reshape(out_c, c, kh, kw)
+def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, kh, kw, s, d, pad) -> Tensor:
+    """Dense conv: one GEMM per tap, reading each flat tap slice in place."""
+    ft = _FlatTaps(x.data, pad, (kh, kw), d, s)
+    kd = w.kernel.data  # (O, C, kh, kw)
     first = ft.live[0]
     out = np.matmul(np.ascontiguousarray(kd[:, :, first // kw, first % kw]), ft.tap(ft.xf, first))
     prod = np.empty_like(out)
@@ -334,8 +323,6 @@ def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, groups, kh, kw, s, d, p
             ki, kj = divmod(t, kw)
             gk[:, :, ki, kj] = np.matmul(gwide, ft.tap(ft.xf, t).transpose(0, 2, 1)).sum(axis=0)
             ft.tap(gxf, t)[...] += np.matmul(np.ascontiguousarray(kd[:, :, ki, kj]).T, gwide, out=prod)
-        if groups > 1:
-            gk = gk.reshape(blocks)[diag, :, diag].reshape(w.kernel.shape)
         return ft.unpad(gxf), gk
 
     return Tensor._from_op(out, "conv2d", (x, w.kernel), vjp)

@@ -2,9 +2,8 @@
 
 Determinism contract: given (TrainConfig, DatasetManifest, NoiseSpec, network
 seed), every batch, every noise realization, and therefore every logged number
-is a pure function of configuration.  HCANET_THREADS > 1 only parallelizes
-batch assembly through an order-preserving map, so results are identical to
-the single-threaded run.
+is a pure function of configuration.  Batches are assembled serially, in
+sample order.
 
 Per-sample noise seeds mix (spec seed, train seed, epoch, sample index)
 through a fixed polynomial so no two draws share a Philox stream.  Validation
@@ -18,7 +17,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,29 +159,14 @@ def _mix(*parts: int) -> int:
     return z
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HCANET_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HCANET_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError(f"HCANET_THREADS must be >= 0, got {n}")
-    return n
-
-
 def _noisy_pair(dataset: PatchDataset, index: int, spec: NoiseSpec, seed: int):
     clean = dataset.patch(index)
     noisy, _ = apply_noise(clean, dataclasses.replace(spec, seed=seed))
     return clean, noisy
 
 
-def _assemble(dataset, items, spec, workers: int):
-    """items: list of (sample index, noise seed). Order-preserving, so the
-    result is identical for any worker count."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda it: _noisy_pair(dataset, it[0], spec, it[1]), items))
+def _assemble(dataset, items, spec):
+    """items: list of (sample index, noise seed)."""
     return [_noisy_pair(dataset, i, spec, s) for i, s in items]
 
 
@@ -235,14 +218,8 @@ def train(
     train_idx, val_idx = dataset.split_indices()
     if not train_idx:
         raise ConfigError("training split is empty")
-    workers = _worker_count()
-    if workers > 1:
-        # warm the scale cache on one thread; the pool then only reads it
-        for ci, s in {(d.cube_index, d.scale) for d in dataset.samples}:
-            dataset._scaled_cube(ci, s)
-
     val_items = [(i, _mix(noise_spec.seed, cfg.val_noise_seed, rank)) for rank, i in enumerate(val_idx)]
-    val_pairs = _assemble(dataset, val_items, noise_spec, workers)
+    val_pairs = _assemble(dataset, val_items, noise_spec)
     noisy_psnr = None
     if val_pairs:
         noisy_psnr = float(np.mean([evaluate(noisy, clean).psnr_db for clean, noisy in val_pairs]))
@@ -267,7 +244,7 @@ def train(
             for start in range(0, len(order), cfg.batch_size):
                 chunk = order[start : start + cfg.batch_size]
                 items = [(i, _mix(noise_spec.seed, cfg.seed, epoch, i)) for i in chunk]
-                clean, noisy = _to_batch(_assemble(dataset, items, noise_spec, workers))
+                clean, noisy = _to_batch(_assemble(dataset, items, noise_spec))
                 pred = net.denoise_batch(Tensor(noisy))
                 loss = total_loss(pred, Tensor(clean), loss_cfg)
                 lval = float(loss.data)

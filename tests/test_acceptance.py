@@ -2,14 +2,12 @@
 
 The two training criteria share a module-scoped toy run so the expensive work
 happens once; the reproducibility criterion repeats the run from scratch and
-compares artifact bytes.  Everything here pins HCANET_THREADS=0 so reruns
-within a session are bit-identical.
+compares artifact bytes.
 """
 
 import dataclasses
 import hashlib
 import math
-import os
 import time
 
 import numpy as np
@@ -40,17 +38,6 @@ TOY_NOISE = NoiseSpec(kind="gaussian", seed=11, sigma=30.0)
 # strict, not a coin flip.
 ABLATION_TRAIN = TrainConfig(epochs=14, batch_size=4, lr0=3e-3, lr_final=1e-5, seed=3)
 ABLATION_NOISE = NoiseSpec(kind="case3", seed=11)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def single_threaded():
-    old = os.environ.get("HCANET_THREADS")
-    os.environ["HCANET_THREADS"] = "0"
-    yield
-    if old is None:
-        os.environ.pop("HCANET_THREADS", None)
-    else:
-        os.environ["HCANET_THREADS"] = old
 
 
 @pytest.fixture(scope="module")

@@ -202,7 +202,7 @@ def test_gradcheck_unknown_preset_exits_2(capsys):
 # -- train --------------------------------------------------------------------
 
 
-def train_fixture(tmp_path):
+def train_fixture(tmp_path, val_fraction=0.1):
     cube = write_cube(tmp_path, "train.hsic", h=24, w=24, b=4, seed=3)
     manifest = DatasetManifest(
         cubes=(cube,),
@@ -211,7 +211,7 @@ def train_fixture(tmp_path):
         rotations=("identity",),
         samples=20,
         seed=5,
-        val_fraction=0.1,
+        val_fraction=val_fraction,
     )
     data_path = str(tmp_path / "data.json")
     manifest.save(data_path)
@@ -267,6 +267,19 @@ def test_train_without_config_uses_small_preset(tmp_path, capsys):
         "kind": "gaussian",
         "sigma": 30.0,
     }
+
+
+@pytest.mark.parametrize("val_fraction", [0.0, 0.1])
+def test_train_manifest_lists_only_written_outputs(tmp_path, capsys, val_fraction):
+    # without a validation split no best.hcaw is written, so none is listed
+    data_path, config_path = train_fixture(tmp_path, val_fraction)
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", config_path, "--data", data_path, "--out", out, "--epochs", "1"]) == 0
+    doc = stdout_json(capsys)
+    outputs = json.load(open(doc["manifest"], encoding="utf-8"))["outputs"]
+    assert all(os.path.exists(p) for p in outputs)
+    assert sorted(outputs) == sorted(p for p in (doc["log"], doc["best"], doc["last"]) if p is not None)
+    assert (doc["best"] is None) == (val_fraction == 0.0)
 
 
 def test_train_band_mismatch_exits_2(tmp_path, capsys):

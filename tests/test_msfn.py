@@ -40,7 +40,7 @@ class TestMsfnForward:
         # one dilated 3x3 rate-2 conv: a centered delta lands on offsets {-2,0,2}^2
         x = np.zeros((1, 1, 11, 11), dtype=np.float32)
         x[0, 0, 5, 5] = 1.0
-        w = nn.Conv2dWeights(Tensor(np.ones((1, 1, 3, 3), dtype=np.float32)), dilation=2, padding=2)
+        w = nn.Conv2dWeights(Tensor(np.ones((1, 1, 3, 3), dtype=np.float32)), dilation=2)
         y = nn.conv2d(Tensor(x), w).data[0, 0]
         expect = np.zeros((11, 11), dtype=np.float32)
         for di in (-2, 0, 2):
@@ -85,8 +85,10 @@ class TestMsfnForward:
 
     def test_dilation_rates_recorded(self):
         w = make_weights()
-        assert w.dil2.dilation == 2 and w.dil2.padding == 2
-        assert w.dil3.dilation == 3 and w.dil3.padding == 3
+        # "same" padding dil*(k-1)//2 equals the rate for the 3x3 kernels
+        for conv, dil in ((w.dil2, 2), (w.dil3, 3)):
+            k = conv.kernel.shape[-1]
+            assert conv.dilation == dil and dil * (k - 1) // 2 == dil
 
 
 class TestFfnStandIn:

@@ -26,13 +26,13 @@ class TestConv2d:
     def test_averaging_kernel_constant_interior(self):
         c = 0.7
         x = Tensor(np.full((1, 1, 6, 6), c, dtype=np.float32))
-        w = conv_w(np.full((1, 1, 3, 3), 1 / 9), padding=0)
-        np.testing.assert_allclose(nn.conv2d(x, w).data, c, rtol=1e-6)
+        w = conv_w(np.full((1, 1, 3, 3), 1 / 9))
+        np.testing.assert_allclose(nn.conv2d(x, w).data[..., 1:-1, 1:-1], c, rtol=1e-6)
 
     def test_dilation2_same_shape(self):
         x = Tensor(rng().standard_normal((1, 4, 6, 6)))
         w = nn.init_conv2d(rng(), 4, 4, 3, dilation=2)
-        assert w.padding == 2
+        assert w.dilation * (w.kernel.shape[-1] - 1) // 2 == 2
         assert nn.conv2d(x, w).shape == (1, 4, 6, 6)
 
     def test_channel_mismatch(self):
@@ -43,21 +43,19 @@ class TestConv2d:
 
     def test_strided_shape_formula(self):
         x = Tensor(rng().standard_normal((1, 2, 9, 9)))
-        w = nn.init_conv2d(rng(), 2, 5, 3, stride=2, padding=1)
+        w = nn.init_conv2d(rng(), 2, 5, 3, stride=2)
         # H' = floor((9 + 2 - 2 - 1)/2) + 1 = 5
         assert nn.conv2d(x, w).shape == (1, 5, 5, 5)
 
-    def test_grouped_matches_per_group_dense(self):
-        x = rng().standard_normal((2, 4, 5, 5)).astype(np.float32)
-        w = nn.init_conv2d(rng(), 4, 6, 3, groups=2)
-        y = nn.conv2d(Tensor(x), w).data
-        k = w.kernel.data
-        for g in range(2):
-            sub = nn.conv2d(
-                Tensor(x[:, 2 * g : 2 * g + 2]),
-                conv_w(k[3 * g : 3 * g + 3], padding=1),
-            ).data
-            np.testing.assert_allclose(y[:, 3 * g : 3 * g + 3], sub, atol=1e-5)
+    @pytest.mark.parametrize("kernel", [(6, 2, 3, 3), (8, 1, 3, 3)])
+    def test_kernel_neither_dense_nor_depthwise_raises(self, kernel):
+        x = Tensor(np.ones((1, 4, 5, 5), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            nn.conv2d(x, conv_w(np.ones(kernel)))
+
+    def test_init_rejects_grouped_non_depthwise(self):
+        with pytest.raises(ShapeError):
+            nn.init_conv2d(rng(), 4, 6, 3, groups=2)
 
     def test_linearity(self):
         gen = rng()
@@ -77,7 +75,7 @@ class TestConv2d:
     def test_shape_contract_property(self, n, c, o, h, w_, stride, dilation):
         x = Tensor(np.zeros((n, c, h, w_), dtype=np.float32))
         p = dilation
-        wts = nn.init_conv2d(rng(), c, o, 3, stride=stride, dilation=dilation, padding=p)
+        wts = nn.init_conv2d(rng(), c, o, 3, stride=stride, dilation=dilation)
         ho = (h + 2 * p - dilation * 2 - 1) // stride + 1
         wo = (w_ + 2 * p - dilation * 2 - 1) // stride + 1
         assert nn.conv2d(x, wts).shape == (n, o, ho, wo)
@@ -88,14 +86,14 @@ class TestDepthwise:
         x = rng().standard_normal((1, 2, 5, 5)).astype(np.float32)
         k = np.zeros((2, 1, 3, 3), dtype=np.float32)
         k[:, 0, 1, 1] = 1.0
-        y = nn.conv2d(Tensor(x), conv_w(k, padding=1, groups=2)).data
+        y = nn.conv2d(Tensor(x), conv_w(k)).data
         np.testing.assert_allclose(y, x, atol=0)
 
     def test_channel_isolation(self):
         x = rng().standard_normal((1, 2, 5, 5)).astype(np.float32)
         k = np.zeros((2, 1, 3, 3), dtype=np.float32)
         k[1, 0, 1, 1] = 1.0
-        y = nn.conv2d(Tensor(x), conv_w(k, padding=1, groups=2)).data
+        y = nn.conv2d(Tensor(x), conv_w(k)).data
         assert np.all(y[:, 0] == 0)
         np.testing.assert_allclose(y[:, 1], x[:, 1], atol=0)
 
@@ -215,8 +213,10 @@ def direct_conv2d_vjp(x, k, g, *, stride=1, dil=1, pad=0, groups=1):
 
 def check_conv2d_against_direct(x, w):
     """Forward and vjp of nn.conv2d within 1e-5 of the float64 direct loop."""
-    kw_ = dict(stride=w.stride, dil=w.dilation, pad=w.padding, groups=w.groups)
     k = w.kernel.data
+    # "same" padding; a (C, 1, kH, kW) kernel on C > 1 channels is depthwise
+    groups = x.shape[1] if k.shape[1] == 1 else 1
+    kw_ = dict(stride=w.stride, dil=w.dilation, pad=w.dilation * (k.shape[-1] - 1) // 2, groups=groups)
     xt = Tensor(x, requires_grad=True)
     y = nn.conv2d(xt, w)
     np.testing.assert_allclose(y.data, direct_conv2d(x, k, **kw_), rtol=0, atol=1e-5)
@@ -283,20 +283,20 @@ def tap_loop_depthwise(x, k, dil, pad):
 
 class TestFlatCore:
     @pytest.mark.parametrize("dil", [1, 2, 3])
-    @pytest.mark.parametrize("same_pad", [False, True])
-    def test_gemm_matches_direct_loop(self, dil, same_pad):
+    def test_gemm_matches_direct_loop(self, dil):
         gen = np.random.default_rng(dil)
         x = gen.standard_normal((2, 3, 9, 11)).astype(np.float32)
-        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 4, 3, dilation=dil, padding=dil if same_pad else 0))
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 4, 3, dilation=dil))
 
     @pytest.mark.parametrize("hw,k,dil,pad", [((2, 2), 3, 2, 2), ((2, 2), 3, 3, 3), ((1, 1), 2, 2, 1)])
     def test_taps_reading_only_padding(self, hw, k, dil, pad):
         # on maps no larger than the dilation, most taps (the last case: every
         # tap) read only zero padding
+        assert dil * (k - 1) // 2 == pad
         gen = np.random.default_rng(dil)
         x = gen.standard_normal((2, 3) + hw).astype(np.float32)
-        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 4, k, dilation=dil, padding=pad))
-        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 3, k, dilation=dil, padding=pad, groups=3))
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 4, k, dilation=dil))
+        check_conv2d_against_direct(x, nn.init_conv2d(gen, 3, 3, k, dilation=dil, groups=3))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_depthwise_matches_direct_loop(self, stride):
@@ -307,17 +307,17 @@ class TestFlatCore:
     @pytest.mark.parametrize("batch_of_one", [False, True])
     @pytest.mark.parametrize(
         "hw,stride,pad,dil",
-        [((8, 10), 2, 1, 1), ((9, 7), 2, 1, 1), ((8, 10), 2, 0, 1), ((9, 7), 2, 0, 1),
-         ((10, 13), 3, 1, 1), ((11, 8), 3, 0, 1), ((12, 9), 2, 2, 2), ((9, 12), 2, 0, 2)],
+        [((8, 10), 2, 1, 1), ((9, 7), 2, 1, 1), ((10, 13), 3, 1, 1), ((12, 9), 2, 2, 2)],
+        # fixed ids, so a row keeps its name when other rows are added or removed
+        ids=["hw0-2-1-1", "hw1-2-1-1", "hw4-3-1-1", "hw6-2-2-2"],
     )
     def test_strided_and_grouped_match_direct_loop(self, hw, stride, pad, dil, batch_of_one):
         # batch 1 is what paper-preset training and every restore run
+        assert dil * (3 - 1) // 2 == pad
         gen = np.random.default_rng(stride * 10 + pad)
         x = gen.standard_normal((1 if batch_of_one else 2, 4) + hw).astype(np.float32)
-        for groups, out_c in ((1, 8), (2, 6), (4, 4), (4, 8)):  # dense, grouped, depthwise, 1->2 per group
-            w = nn.init_conv2d(gen, 4, out_c, 3, stride=stride, dilation=dil, padding=pad, groups=groups)
-            check_conv2d_against_direct(x, w)
-        check_conv2d_against_direct(x, nn.init_conv2d(gen, 4, 6, 3, dilation=dil, padding=pad, groups=2))
+        for groups, out_c in ((1, 8), (4, 4)):  # dense, depthwise
+            check_conv2d_against_direct(x, nn.init_conv2d(gen, 4, out_c, 3, stride=stride, dilation=dil, groups=groups))
 
     def test_strided_vjp_peak_memory(self):
         import tracemalloc
@@ -365,7 +365,7 @@ class TestFlatCore:
         c = shape[1]
         w = nn.init_conv2d(gen, c, c, 3, dilation=dil, groups=c)
         got = nn.conv2d(Tensor(x), w).data
-        assert np.array_equal(got, tap_loop_depthwise(x, w.kernel.data, dil, w.padding))
+        assert np.array_equal(got, tap_loop_depthwise(x, w.kernel.data, dil, dil * (3 - 1) // 2))
 
     @pytest.mark.parametrize("dil", [1, 2, 3])
     def test_dilated_conv_peak_memory(self, dil):

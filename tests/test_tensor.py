@@ -218,3 +218,14 @@ def test_all_primitive_ops_match_finite_differences():
 
     res = preset_ops(seed=0)
     assert res.ok, f"worst: {res.worst()}"
+
+
+def test_ops_cases_draw_from_streams_keyed_by_seed_and_name():
+    from hcanet.gradcheck import _case_stream
+
+    def draw(seed, name):
+        return _case_stream(seed, name).standard_normal(4)
+
+    np.testing.assert_array_equal(draw(0, "add"), draw(0, "add"))
+    assert not np.array_equal(draw(0, "add"), draw(0, "sub"))
+    assert not np.array_equal(draw(0, "add"), draw(1, "add"))

@@ -24,7 +24,6 @@ from hcanet.train import (
     lr_at,
     train,
     _mix,
-    _worker_count,
 )
 
 
@@ -302,23 +301,6 @@ def test_identically_seeded_runs_are_bit_identical(tmp_path):
     assert open(res_a.log_path, "rb").read() == open(res_b.log_path, "rb").read()
     assert open(res_a.best_path, "rb").read() == open(res_b.best_path, "rb").read()
     assert open(res_a.last_path, "rb").read() == open(res_b.last_path, "rb").read()
-
-
-def test_threaded_assembly_matches_single_threaded(tmp_path, monkeypatch):
-    monkeypatch.setenv("HCANET_THREADS", "0")
-    res_single, _, _ = run_tiny(tmp_path, "single", epochs=2)
-    monkeypatch.setenv("HCANET_THREADS", "3")
-    res_pool, _, _ = run_tiny(tmp_path, "pool", epochs=2)
-    assert res_single.history == res_pool.history
-
-
-def test_worker_count_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("HCANET_THREADS", "many")
-    with pytest.raises(ConfigError):
-        _worker_count()
-    monkeypatch.setenv("HCANET_THREADS", "-1")
-    with pytest.raises(ConfigError):
-        _worker_count()
 
 
 def test_train_without_validation_split(tmp_path):
