@@ -9,7 +9,10 @@ input + residual; nothing is clipped here.
 
 Checkpoints: magic "HCAW", u32 version, length-prefixed canonical-JSON
 NetworkConfig, then per-tensor records (length-prefixed name, u32 rank and
-extents, raw little-endian f32 data).  Reload is bit-exact.
+extents, raw little-endian f32 data).  Reload is bit-exact.  It builds the
+network from its shapes alone, drawing no initial values, and checks the record
+bytes that the config implies against the bytes in the file before it reads
+any tensor, so a corrupt config cannot allocate a huge network.
 """
 
 from __future__ import annotations
@@ -123,8 +126,26 @@ class BlockWeights:
         yield from self.ffn.named_params(prefix + "ffn.")
 
 
+class _Blank:
+    """Stands in for the init ``Generator`` when a checkpoint is loaded: it draws nothing.
+
+    Every parameter comes out as a read-only view of one zero, so a network
+    built from it has each parameter's name and shape at a cost that does not
+    grow with their sizes; ``HcaNet._read`` then gives each tensor its values.
+    """
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(np.zeros((), np.float32), size)
+
+
+def _init_norm(rng, c: int) -> LayerNormWeights:
+    if isinstance(rng, _Blank):  # keep a blank network free of per-channel arrays too
+        return LayerNormWeights(*(Tensor(rng.uniform(0, 0, (c,)), requires_grad=True) for _ in range(2)))
+    return init_layer_norm(c)
+
+
 def _init_block(rng: np.random.Generator, cfg: NetworkConfig, c: int) -> BlockWeights:
-    norm1 = init_layer_norm(c) if cfg.norm_enabled else None
+    norm1 = _init_norm(rng, c) if cfg.norm_enabled else None
     cafm = init_cafm(
         rng,
         c,
@@ -132,7 +153,7 @@ def _init_block(rng: np.random.Generator, cfg: NetworkConfig, c: int) -> BlockWe
         local_branch=cfg.local_branch,
         spectral_3d=cfg.conv3d_enabled,
     )
-    norm2 = init_layer_norm(c) if cfg.norm_enabled else None
+    norm2 = _init_norm(rng, c) if cfg.norm_enabled else None
     if cfg.msfn_enabled:
         ffn = init_msfn(rng, c, expansion=cfg.gamma, spectral_3d=cfg.conv3d_enabled)
     else:
@@ -153,9 +174,10 @@ class HcaNet:
     """Weights plus forward logic; construction is deterministic in (config, seed)."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
-        self.config = config
-        rng = np.random.Generator(np.random.Philox(seed))
-        cfg = config
+        self._build(config, np.random.Generator(np.random.Philox(seed)))
+
+    def _build(self, config: NetworkConfig, rng: np.random.Generator | _Blank) -> None:
+        self.config = cfg = config
         c0, L = cfg.base_width, cfg.levels
         kd = (3, 3, 3) if cfg.conv3d_enabled else (1, 3, 3)
         self.stem_3d: Conv3dWeights = init_conv3d(rng, 1, c0, kd)
@@ -292,21 +314,31 @@ class HcaNet:
             raise FormatError(f"unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", take(4))
         config = NetworkConfig.from_json(take(clen).decode("utf-8"))
-        net = HcaNet(config, seed=0)
+        net = HcaNet.__new__(HcaNet)
+        try:
+            net._build(config, _Blank())
+        except ValueError as e:  # extents numpy cannot represent
+            raise FormatError(f"checkpoint config describes no buildable network: {e}") from e
         expected = dict(net.named_params())
+        # the records the config implies, byte for byte, before any tensor is read
+        need = 4 + sum(8 + len(name.encode("utf-8")) + 4 * (t.ndim + t.size) for name, t in expected.items())
+        pos = f.tell()
+        left = f.seek(0, io.SEEK_END) - pos
+        f.seek(pos)
+        if need != left:
+            raise FormatError(f"checkpoint holds {left} bytes of tensors, its config implies {need}")
         (count,) = struct.unpack("<I", take(4))
         if count != len(expected):
             raise FormatError(f"checkpoint has {count} tensors, model needs {len(expected)}")
         for _ in range(count):
             (nlen,) = struct.unpack("<I", take(4))
             name = take(nlen).decode("utf-8")
-            if name not in expected:
-                raise FormatError(f"unknown tensor {name!r} in checkpoint")
+            t = expected.pop(name, None)  # popped, so no blank tensor survives a repeated name
+            if t is None:
+                raise FormatError(f"unknown or repeated tensor {name!r} in checkpoint")
             (ndim,) = struct.unpack("<I", take(4))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            t = expected[name]
             if shape != t.shape:
                 raise FormatError(f"tensor {name!r} has shape {shape}, model needs {t.shape}")
-            raw = take(4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4)
-            t.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+            t.data = np.frombuffer(take(4 * t.size), dtype="<f4").reshape(shape).astype(np.float32)
         return net

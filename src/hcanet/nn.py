@@ -20,9 +20,18 @@ conv and the depthwise conv do one multiply-add and the dense conv does one
 GEMM over the slice, which BLAS reads in place.  Taps whose window lies wholly
 in the padding (dilated convs on maps no larger than the dilation) are
 skipped.  Backward embeds the output gradient into the wide grid with zeros in
-the extra positions and scatters it through the same slices into a flat input
-gradient, reusing the forward's padded input; no column buffer is built in
-either direction.
+the extra positions and sends it back through the same slices into a flat
+input gradient, reusing the forward's padded input; no column buffer is built
+in either direction.
+
+The per-channel convs (the 1->1 3-D conv and the depthwise conv) do few
+flops per byte, so they walk the wide grid in tiles: viewed as (N*C rows,
+flat positions), the grid splits into tiles of at most ``_CHUNK`` elements
+(a long row into column tiles, short rows several to a tile), and every live
+tap passes over one tile before the next tile starts, so a 27-tap conv reads
+memory about once instead of 27 times.  Backward gathers the input gradient
+tile by tile the same way, clipping each tap's window to the tile.  Every
+element still sums its taps in tap order, so tiling changes no bit.
 
 A strided convolution (the downsample) first splits the padded input into
 stride x stride phases, as pixel-unshuffle does: padded position q goes to
@@ -137,6 +146,11 @@ def init_layer_norm(c: int) -> LayerNormWeights:
 # -- conv2d ---------------------------------------------------------------------
 
 
+# elements per tile of the per-channel tap loops: a tile and its product
+# buffer stay in cache while every tap passes over them
+_CHUNK = 1 << 16
+
+
 def _out_extent(n: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (n + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
@@ -198,6 +212,21 @@ class _FlatTaps:
         grids = self.grids(self.xf)
         for src, dst in self.phases:
             grids[dst] = x[src]
+        # the same slices on the (rows, phases * flat) view of a buffer shaped like xf
+        self.rows = math.prod(x.shape[:-k])
+        self.start = [p * self.xf.shape[-1] + off for p, off in zip(self.phase, self.offs)]
+
+    def tiles(self, length: int) -> Iterator[tuple[slice, int, int]]:
+        """Tiles ``(row slice, lo, hi)`` of a (rows, length) grid, each of at most _CHUNK elements.
+
+        A row longer than _CHUNK splits into column tiles; shorter rows go
+        ``_CHUNK // length`` to a tile, so a grid smaller than one chunk is one tile.
+        """
+        group = max(1, _CHUNK // length)
+        width = min(length, _CHUNK)
+        for r in range(0, self.rows, group):
+            for lo in range(0, length, width):
+                yield slice(r, min(r + group, self.rows)), lo, min(lo + width, length)
 
     def tap(self, buf: np.ndarray, t: int) -> np.ndarray:
         """Tap t's slice of a flat buffer shaped like ``xf``."""
@@ -274,7 +303,7 @@ def _conv_depthwise(x: Tensor, w: Conv2dWeights, kh, kw, s, d, pad) -> Tensor:
 
 
 def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, dil, stride, op: str) -> Tensor:
-    """Conv with one filter per channel: one multiply-add per tap over flat slices.
+    """Conv with one filter per channel: one multiply-add per tap over flat slices, tile by tile.
 
     x: (N, C, *spatial), kernel: (C, 1, *ksize).  Serves the depthwise 2-D conv
     and the 1->1 3-D conv (C == 1, three spatial axes).
@@ -282,20 +311,39 @@ def _conv_per_channel(x: Tensor, w: Conv2dWeights | Conv3dWeights, pad, ksize, d
     ft = _FlatTaps(x.data, pad, ksize, dil, stride)
     c = x.shape[1]
     kd = w.kernel.data
-    taps = kd.reshape(c, -1, 1)
-    out = np.zeros(x.shape[:2] + (ft.ell,), dtype=x.data.dtype)
-    for t in ft.live:
-        out += taps[:, t] * ft.tap(ft.xf, t)
-    out = ft.crop(out)
+    wt = np.tile(kd.reshape(c, -1).T, (1, x.shape[0]))[:, :, None]  # (taps, N*C, 1): tap t's weight per row
+    xr = ft.xf.reshape(ft.rows, -1)
+    out = np.zeros((ft.rows, ft.ell), dtype=x.data.dtype)
+    tmp = np.empty(min(_CHUNK, out.size), dtype=np.result_type(kd, xr))
+    for rs, lo, hi in ft.tiles(ft.ell):
+        o = out[rs, lo:hi]
+        prod = tmp[: o.size].reshape(o.shape)
+        wtile, xtile = wt[:, rs], xr[rs]
+        for t in ft.live:
+            s = ft.start[t]
+            o += np.multiply(wtile[t], xtile[:, s + lo : s + hi], out=prod)
+    out = ft.crop(out.reshape(x.shape[:2] + (ft.ell,)))
 
     def vjp(g):
         gwide = ft.embed(g)
         gk = np.zeros_like(kd)
         gtaps = gk.reshape(c, -1)
-        gxf = np.zeros_like(ft.xf)
         for t in ft.live:
             gtaps[:, t] = np.einsum("ncl,ncl->c", gwide, ft.tap(ft.xf, t))
-            ft.tap(gxf, t)[...] += taps[:, t] * gwide
+        # gather form: each tile of the flat input gradient sums, in tap order,
+        # the taps whose window [start, start + ell) overlaps it
+        gw = gwide.reshape(ft.rows, ft.ell)
+        gxf = np.zeros_like(ft.xf)
+        gr = gxf.reshape(ft.rows, -1)
+        tmp = np.empty(min(_CHUNK, gr.size), dtype=np.result_type(kd, gw))
+        for rs, lo, hi in ft.tiles(gr.shape[1]):
+            wtile, gtile, otile = wt[:, rs], gw[rs], gr[rs]
+            for t in ft.live:
+                s = ft.start[t]
+                a, b = max(lo, s), min(hi, s + ft.ell)
+                if a < b:
+                    o = otile[:, a:b]
+                    o += np.multiply(wtile[t], gtile[:, a - s : b - s], out=tmp[: o.size].reshape(o.shape))
         return ft.unpad(gxf), gk
 
     return Tensor._from_op(out, op, (x, w.kernel), vjp)

@@ -8,6 +8,8 @@ them onto leaf tensors, and frees the graph.
 
 Arithmetic runs in float32 by default; ``use_dtype(numpy.float64)`` switches
 newly created leaves to float64 for finite-difference gradient checking.
+That switch, ``no_grad`` and ``debug_numerics`` live in ``contextvars``, so
+each holds only in the thread (or context) that entered it.
 Every op is a plain function (``add``, ``scale``, ``scale_by``, ...); ``Tensor``
 overloads no operators.  Broadcasting is deliberately not supported beyond
 scaling by a 0-d tensor (``scale_by``): mismatched shapes raise ``ShapeError``
@@ -17,53 +19,47 @@ instead of silently expanding.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericsError, ShapeError
 
-_DEFAULT_DTYPE = np.float32
-_GRAD_ENABLED = True
-_CHECK_FINITE = False
+_DEFAULT_DTYPE = contextvars.ContextVar("default_dtype", default=np.float32)
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
+_CHECK_FINITE = contextvars.ContextVar("check_finite", default=False)
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 @contextlib.contextmanager
+def _setting(var: contextvars.ContextVar, value):
+    token = var.set(value)
+    try:
+        yield
+    finally:
+        var.reset(token)
+
+
+@contextlib.contextmanager
 def use_dtype(dtype):
-    """Temporarily switch the engine-wide default dtype (float32/float64)."""
-    global _DEFAULT_DTYPE
+    """Temporarily switch the default dtype (float32/float64) of new leaves."""
     if dtype not in (np.float32, np.float64):
         raise ContractError(f"unsupported dtype {dtype!r}")
-    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
-    try:
+    with _setting(_DEFAULT_DTYPE, dtype):
         yield
-    finally:
-        _DEFAULT_DTYPE = prev
 
 
-@contextlib.contextmanager
 def no_grad():
     """Disable tape recording (inference mode)."""
-    global _GRAD_ENABLED
-    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+    return _setting(_GRAD_ENABLED, False)
 
 
-@contextlib.contextmanager
 def debug_numerics():
     """Assert that every forward result is finite (debug builds only)."""
-    global _CHECK_FINITE
-    prev, _CHECK_FINITE = _CHECK_FINITE, True
-    try:
-        yield
-    finally:
-        _CHECK_FINITE = prev
+    return _setting(_CHECK_FINITE, True)
 
 
 class _Node:
@@ -88,7 +84,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE.get())
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -98,12 +94,12 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, op: str, parents: tuple["Tensor", ...], vjp: Callable) -> "Tensor":
-        if _CHECK_FINITE and not np.all(np.isfinite(data)):
+        if _CHECK_FINITE.get() and not np.all(np.isfinite(data)):
             raise NumericsError(f"non-finite values produced by op {op!r}")
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out.node = _Node(op, parents, vjp)
         else:

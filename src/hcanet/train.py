@@ -136,7 +136,7 @@ def adam_step(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+    """Scale all gradients so the global L2 norm is at most max_norm (0 disables); returns the pre-clip norm."""
     sq = 0.0
     for g in grads.values():
         sq += float(np.sum(np.square(g, dtype=np.float64)))
@@ -210,7 +210,10 @@ def train(
 ) -> TrainResult:
     """Optimize net on noisy/clean patch pairs; returns the epoch history.
 
-    With out_dir set, writes log.jsonl (one record per epoch), last.hcaw at the
+    Each epoch's record holds its loss, learning rate, the mean and maximum of
+    its steps' pre-clip gradient norms and how many steps were clipped, plus
+    validation metrics when there is a validation split.  With out_dir set,
+    writes log.jsonl (one record per epoch), last.hcaw at the
     checkpoint cadence, and best.hcaw whenever validation PSNR improves.  A
     non-finite loss or gradient aborts the run; checkpoints already on disk are
     left in place.
@@ -240,7 +243,7 @@ def train(
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
             order = dataset.epoch_order(epoch, train_idx)
-            loss_sum, seen = 0.0, 0
+            loss_sum, seen, norms = 0.0, 0, []
             for start in range(0, len(order), cfg.batch_size):
                 chunk = order[start : start + cfg.batch_size]
                 items = [(i, _mix(noise_spec.seed, cfg.seed, epoch, i)) for i in chunk]
@@ -260,13 +263,25 @@ def train(
                 }
                 for p in params.values():
                     p.grad = None
-                if cfg.grad_clip > 0:
-                    clip_gradients(grads, cfg.grad_clip)
+                norms.append(clip_gradients(grads, cfg.grad_clip))
+                if not math.isfinite(norms[-1]):
+                    raise NumericsError(
+                        f"gradient norm is not finite at epoch {epoch}, sample offset {start}; "
+                        "checkpoints on disk are preserved"
+                    )
                 adam_step(params, grads, state, lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
                 loss_sum += lval * len(chunk)
                 seen += len(chunk)
 
-            record = {"epoch": epoch, "lr": lr, "train_loss": loss_sum / seen}
+            record = {
+                "epoch": epoch,
+                "lr": lr,
+                "train_loss": loss_sum / seen,
+                # pre-clip global gradient norms of the epoch's steps
+                "grad_norm_mean": sum(norms) / len(norms),
+                "grad_norm_max": max(norms),
+                "clip_events": sum(cfg.grad_clip > 0 and n > cfg.grad_clip for n in norms),
+            }
             if val_pairs:
                 vp, vs, va = _validate(net, val_pairs)
                 record.update(val_psnr_db=vp, val_ssim=vs, val_sam_rad=va)

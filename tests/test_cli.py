@@ -184,6 +184,29 @@ def test_denoise_corrupt_checkpoint_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_denoise_checkpoint_claiming_a_huge_network_exits_3(tmp_path, capsys):
+    import dataclasses
+    import struct
+    import tracemalloc
+
+    from hcanet.network import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, paper_config
+
+    cfg = dataclasses.replace(paper_config(4), base_width=2**16).to_json().encode("utf-8")
+    bad = tmp_path / "huge.hcaw"
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg)) + cfg + b"\x00" * 64)
+    src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
+    tracemalloc.start()
+    try:
+        code = main(["denoise", "--model", str(bad), "--in", src, "--out", str(tmp_path / "o.hsic")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "implies" in capsys.readouterr().err
+    # a network drawn for this config would hold about 10**14 parameters
+    assert peak < 1 << 20
+
+
 # -- gradcheck ----------------------------------------------------------------
 
 

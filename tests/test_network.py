@@ -175,6 +175,39 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             HcaNet.load(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        net = HcaNet(tiny_config(), seed=10)
+        p = tmp_path / "model.hcaw"
+        net.save(p)
+        p.write_bytes(p.read_bytes() + b"\x00" * 4)
+        with pytest.raises(FormatError, match="implies"):
+            HcaNet.load(p)
+
+    def test_repeated_tensor_rejected(self, tmp_path):
+        # a record repeated in place of another of the same size keeps the byte count
+        net = HcaNet(tiny_config(), seed=10)
+        params = list(net.named_params())
+        i = [name for name, _ in params].index("enc0.b0.norm2.gamma")
+        params[i] = ("enc0.b0.norm1.gamma", params[i][1])
+        buf = io.BytesIO()
+        net.named_params = lambda: iter(params)
+        net._write(buf)
+        with pytest.raises(FormatError, match="repeated"):
+            HcaNet._read(io.BytesIO(buf.getvalue()))
+
+    def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
+        net = HcaNet(tiny_config(), seed=10)
+        p = tmp_path / "model.hcaw"
+        net.save(p)
+
+        def no_draw(*a, **k):
+            raise AssertionError("load drew from a Philox stream")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        buf = io.BytesIO()
+        HcaNet.load(p)._write(buf)
+        assert buf.getvalue() == p.read_bytes()
+
     @pytest.mark.parametrize("config,digest", [
         (desk_config(8), "81a06def3a95fdbcef19bf4fa4f61ae2a645ce624fa4fc21c0328d886ac5bc38"),
         (paper_config(31), "1e534cac5dc949b542cbf157f3f2a02a8584bfa5ac4232d1ee556c9397dd43f5"),

@@ -187,6 +187,27 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(y)
 
+    def test_no_grad_in_another_thread_leaves_recording_on(self):
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+
+        def worker():
+            with T.no_grad():
+                entered.set()
+                release.wait(10)
+
+        th = threading.Thread(target=worker)
+        th.start()
+        try:
+            assert entered.wait(10)
+            y = T.scale(t([1.0], rg=True), 2.0)  # recorded while the worker holds no_grad
+        finally:
+            release.set()
+            th.join(10)
+        assert not th.is_alive()
+        assert y.requires_grad and y.node is not None
+
 
 class TestDtypeModes:
     def test_default_is_float32(self):

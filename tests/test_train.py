@@ -261,11 +261,36 @@ def test_train_writes_log_and_checkpoints(tmp_path):
     result, net, out = run_tiny(tmp_path, "run")
     assert len(result.history) == 3
     for rec in result.history:
-        assert set(rec) == {"epoch", "lr", "train_loss", "val_psnr_db", "val_ssim", "val_sam_rad"}
+        assert set(rec) == {"epoch", "lr", "train_loss", "val_psnr_db", "val_ssim", "val_sam_rad",
+                            "grad_norm_mean", "grad_norm_max", "clip_events"}
         assert math.isfinite(rec["train_loss"])
     lines = [json.loads(l) for l in open(result.log_path, encoding="utf-8")]
     assert lines == result.history
     assert os.path.exists(result.best_path) and os.path.exists(result.last_path)
+
+
+def test_clip_events_count_steps_above_the_clip(tmp_path, monkeypatch):
+    import hcanet.train as train_mod
+
+    norms = []
+
+    def spy(grads, max_norm):
+        norms.append(clip_gradients(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(train_mod, "clip_gradients", spy)
+    ds = tiny_dataset(tmp_path)
+    steps = -(-len(ds.split_indices()[0]) // 4)
+    clip = 4.6  # between the smallest and the largest pre-clip norm of this run
+    cfg = TrainConfig(epochs=2, batch_size=4, lr0=2e-3, lr_final=1e-5, seed=7, grad_clip=clip)
+    result = train(cfg, ds, NoiseSpec(kind="gaussian", seed=11, sigma=30.0), tiny_net(seed=1))
+    assert len(norms) == 2 * steps
+    for epoch, rec in enumerate(result.history):
+        mine = norms[epoch * steps : (epoch + 1) * steps]
+        assert rec["clip_events"] == sum(n > clip for n in mine)
+        assert rec["grad_norm_max"] == max(mine)
+        assert rec["grad_norm_mean"] == sum(mine) / steps
+    assert 0 < sum(r["clip_events"] for r in result.history) < len(norms)
 
 
 def test_train_loss_decreases_on_toy_run(tmp_path):
@@ -325,6 +350,16 @@ def test_nan_loss_aborts_and_preserves_checkpoints(tmp_path):
     params["tail.kernel"].data[:] = np.nan
     with pytest.raises(NumericsError, match="not finite"):
         train(cfg, ds, spec, net, out_dir=str(tmp_path / "nan"))
+
+
+def test_non_finite_gradient_norm_aborts(tmp_path, monkeypatch):
+    import hcanet.train as train_mod
+
+    monkeypatch.setattr(train_mod, "clip_gradients", lambda grads, max_norm: float("inf"))
+    cfg = TrainConfig(epochs=1, batch_size=4, lr0=1e-3, lr_final=1e-5)
+    spec = NoiseSpec(kind="gaussian", seed=2, sigma=30.0)
+    with pytest.raises(NumericsError, match="gradient norm is not finite"):
+        train(cfg, tiny_dataset(tmp_path), spec, tiny_net())
 
 
 def test_noisy_baseline_is_recorded(tmp_path):
