@@ -161,9 +161,6 @@ def preset_ops(seed: int = 0) -> GradCheckResult:
     def conv2d(**kw):
         return lambda x, k: nn.conv2d(x, nn.Conv2dWeights(k, **kw))
 
-    def conv3d(x, k):
-        return nn.conv3d(x, nn.Conv3dWeights(k))
-
     m, fmap = (3, 4), (2, 4, 6, 6)
     with T.use_dtype(np.float64):
         case("add", T.add, a=m, b=m)
@@ -192,8 +189,7 @@ def preset_ops(seed: int = 0) -> GradCheckResult:
         case("conv2d_d3", conv2d(dilation=3), x=fmap, kernel=(4, 4, 3, 3))
         case("conv2d_dw", conv2d(), x=fmap, kernel=(4, 1, 3, 3))
         case("conv2d_1x1", conv2d(), x=fmap, kernel=(5, 4, 1, 1))
-        case("conv3d_1to1", conv3d, x=(2, 1, 4, 5, 5), kernel=(1, 1, 3, 3, 3))
-        case("conv3d_stem", conv3d, x=(2, 1, 4, 5, 5), kernel=(3, 1, 3, 3, 3))
+        case("conv3d_1to1", lambda x, k: nn.conv3d(x, nn.Conv3dWeights(k)), x=(2, 1, 4, 5, 5), kernel=(1, 1, 3, 3, 3))
         case("conv_t2d", lambda x, k: nn.conv_transpose2d(x, nn.ConvT2dWeights(k)), x=fmap, kernel=(4, 2, 2, 2))
         case("layer_norm", lambda x, g, b: nn.layer_norm(x, nn.LayerNormWeights(g, b)), x=fmap,
              gamma=lambda rng: 1.0 + 0.1 * rng.standard_normal(4), beta=lambda rng: 0.1 * rng.standard_normal(4))

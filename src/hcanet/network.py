@@ -1,7 +1,11 @@
 """U-shaped denoising network of CAMixing blocks.
 
-A 3x3x3 stem lifts the band axis into feature space, an encoder-decoder of
-CAMixing blocks (CAFM then MSFN, each behind a pre-norm residual) processes
+The stem's parameters are a 3x3x3 conv that lifts every band into base_width
+features and a 1x1 conv that collapses those base_width * B maps into
+base_width channels.  No bias or nonlinearity sits between them, so the forward
+runs the pair as one 3x3 conv from B bands to base_width channels, its kernel
+rebuilt from both parameters on every call.  An encoder-decoder of CAMixing
+blocks (CAFM then MSFN, each behind a pre-norm residual) follows and processes
 features at widths base_width * 2^level, skip connections concatenate encoder
 features into the decoder and fuse with 1x1 convolutions, and a 3x3 tail
 emits a residual map with one channel per band.  The denoised cube is
@@ -12,7 +16,9 @@ NetworkConfig, then per-tensor records (length-prefixed name, u32 rank and
 extents, raw little-endian f32 data).  Reload is bit-exact.  It builds the
 network from its shapes alone, drawing no initial values, and checks the record
 bytes that the config implies against the bytes in the file before it reads
-any tensor, so a corrupt config cannot allocate a huge network.
+any tensor, so a corrupt config cannot allocate a huge network; the block
+count is bounded by the file's size before the build, so it cannot spend
+long building a deep one either.
 """
 
 from __future__ import annotations
@@ -35,14 +41,14 @@ from .nn import (
     Conv3dWeights,
     LayerNormWeights,
     conv2d,
-    conv3d,
+    conv3d,  # not called here; kept because the traced benchmark patches network.conv3d
     init_conv2d,
     init_conv3d,
     init_conv_t2d,
     init_layer_norm,
     layer_norm,
 )
-from .tensor import Tensor, add, concat, no_grad, reshape
+from .tensor import Tensor, add, concat, matmul, no_grad, permute, reshape, slice_
 
 CHECKPOINT_MAGIC = b"HCAW"
 CHECKPOINT_VERSION = 1
@@ -63,8 +69,12 @@ class NetworkConfig:
     msfn_enabled: bool = True
 
     def __post_init__(self):
-        if self.bands < 1:
-            raise ConfigError(f"bands must be positive, got {self.bands}")
+        counts = (self.bands, self.base_width, self.levels, self.shuffle_groups, self.gamma, self.refinement_blocks)
+        # a stored config is outside input: a float count would fail deep inside the build
+        if not all(isinstance(v, int) for v in counts + tuple(self.blocks_per_level)):
+            raise ConfigError(f"widths and counts must be integers, got {self}")
+        if min(self.bands, self.base_width, self.shuffle_groups) < 1:
+            raise ConfigError(f"bands, base_width and shuffle_groups must be positive, got {self}")
         if self.levels < 1 or len(self.blocks_per_level) != self.levels:
             raise ConfigError(
                 f"blocks_per_level has {len(self.blocks_per_level)} entries for {self.levels} levels"
@@ -92,7 +102,7 @@ class NetworkConfig:
             d = json.loads(text)
             d["blocks_per_level"] = tuple(d["blocks_per_level"])
             return NetworkConfig(**d)
-        except (ValueError, TypeError, KeyError) as e:
+        except (ValueError, TypeError, KeyError, ConfigError) as e:
             raise FormatError(f"bad NetworkConfig JSON: {e}") from e
 
 
@@ -230,17 +240,36 @@ class HcaNet:
 
     # -- forward ------------------------------------------------------------
 
+    def _stem_kernel(self) -> Tensor:
+        """The stem as one (C0, B, kH, kW) 2-D kernel, built on the tape from both stem parameters.
+
+        Through depth tap a, the 3-D conv (K3: (C0, 1, kD, kH, kW), band padding
+        p = kD // 2) sends band c to feature map f * B + c - a + p, and the 1x1
+        collapse (K1: (C0, C0 * B, 1, 1)) sums those maps, so
+        W[o, c, i, j] = sum over a, f of K1[o, f * B + c - a + p] * K3[f, 0, a, i, j],
+        dropping the terms whose band index c - a + p lies outside [0, B).
+        """
+        k3, k1 = self.stem_3d.kernel, self.stem_collapse.kernel
+        c0, _, kd, kh, kw = k3.shape
+        b, p = self.config.bands, kd // 2
+        zero = Tensor(np.zeros((c0, c0, p), dtype=k1.dtype))
+        k1 = concat([zero, reshape(k1, (c0, c0, b)), zero], axis=2)  # (o, f, band), band c - a + p at c + 2p - a
+        # tap a's shifted collapse weights, stacked as (o, a * C0 + f, c)
+        taps = concat([slice_(k1, (slice(None), slice(None), slice(2 * p - a, 2 * p - a + b))) for a in range(kd)], 1)
+        lhs = reshape(permute(taps, (0, 2, 1)), (c0 * b, kd * c0))
+        rhs = reshape(permute(reshape(k3, (c0, kd, kh * kw)), (1, 0, 2)), (kd * c0, kh * kw))
+        return reshape(matmul(lhs, rhs), (c0, b, kh, kw))
+
     def forward(self, x: Tensor) -> Tensor:
         """Noisy batch (N, B, H, W) to residual map of the same shape."""
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.bands:
             raise ShapeError(f"expected (N, {cfg.bands}, H, W), got {x.shape}")
-        n, b, h, wd = x.shape
+        h, wd = x.shape[2:]
         div = 1 << (cfg.levels - 1)
         if h % div or wd % div:
             raise ShapeError(f"H, W must be divisible by {div} for {cfg.levels} levels, got {h}x{wd}")
-        z = conv3d(reshape(x, (n, 1, b, h, wd)), self.stem_3d)
-        z = conv2d(reshape(z, (n, cfg.base_width * b, h, wd)), self.stem_collapse)
+        z = conv2d(x, Conv2dWeights(self._stem_kernel()))
         skips = []
         for lvl, blocks in enumerate(self.enc_blocks):
             for blk in blocks:
@@ -314,6 +343,15 @@ class HcaNet:
             raise FormatError(f"unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", take(4))
         config = NetworkConfig.from_json(take(clen).decode("utf-8"))
+        pos = f.tell()
+        left = f.seek(0, io.SEEK_END) - pos
+        f.seek(pos)
+        # the build grows with the block count, so bound that by the file first: every
+        # block stores at least four tensor records, far more than one byte
+        per_level = config.blocks_per_level  # encoder and bottleneck, then the decoder's levels
+        blocks = sum(per_level) + sum(per_level[:-1]) + config.refinement_blocks
+        if blocks > left:
+            raise FormatError(f"checkpoint config has {blocks} blocks, more than {left} bytes of tensors can hold")
         net = HcaNet.__new__(HcaNet)
         try:
             net._build(config, _Blank())
@@ -322,9 +360,6 @@ class HcaNet:
         expected = dict(net.named_params())
         # the records the config implies, byte for byte, before any tensor is read
         need = 4 + sum(8 + len(name.encode("utf-8")) + 4 * (t.ndim + t.size) for name, t in expected.items())
-        pos = f.tell()
-        left = f.seek(0, io.SEEK_END) - pos
-        f.seek(pos)
         if need != left:
             raise FormatError(f"checkpoint holds {left} bytes of tensors, its config implies {need}")
         (count,) = struct.unpack("<I", take(4))

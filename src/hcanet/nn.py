@@ -1,7 +1,7 @@
 """Neural building blocks over the tensor engine.
 
-2-D convolutions (dense, depthwise, strided, dilated), single-feature and
-multi-feature 3-D convolutions, 2x2 transposed convolution, channel shuffle and
+2-D convolutions (dense, depthwise, strided, dilated), the single-feature
+3-D convolution, 2x2 transposed convolution, channel shuffle and
 per-channel layer normalization.  All kernels follow the cross-correlation
 convention and zero "same" padding, ``dilation * (k - 1) // 2`` per side, so
 the kernel's shape fixes a 2-D conv's geometry: it is dense, (C', C, kH, kW),
@@ -10,7 +10,7 @@ every conv op records the parents ``(x, kernel)`` and its vjp returns
 ``(gx, gk)``.  The ``init_*`` functions create leaves in the engine's default
 dtype; ``tensor.use_dtype`` switches it (float64 for gradient checks).
 
-Every convolution except the 1x1 and the 3-D stem runs on a flat-shift layout
+Every convolution except the 1x1 runs on a flat-shift layout
 (``_FlatTaps``): the input is zero-padded once, its spatial axes are flattened
 into one, and a few zeros of slack follow, so each kernel tap reads one
 contiguous slice ``xf[..., off : off + L]``.  Those slices cover a *wide*
@@ -38,13 +38,6 @@ stride x stride phases, as pixel-unshuffle does: padded position q goes to
 phase q % stride at coarse index q // stride.  Tap i then reads phase
 (i * dilation) % stride at coarse offset (i * dilation) // stride, again one
 contiguous slice, and the wide grid keeps each coarse extent.
-
-The multi-feature 3-D forward (the network's 1->F stem) works slab-wise: it
-gathers the taps of one output depth slice into a reused (N, K*F, H*W) column
-buffer and runs one GEMM per slice into the preallocated output, so its
-working memory is one depth slice of columns rather than the whole volume.
-Its backward still builds the full-volume columns; it only runs on training
-patches.
 """
 
 from __future__ import annotations
@@ -75,7 +68,11 @@ class Conv2dWeights:
 
 @dataclass
 class Conv3dWeights:
-    """kernel: (outF, inF, kD, kH, kW); "same" padding, k // 2 per axis."""
+    """kernel: (outF, inF, kD, kH, kW); "same" padding, k // 2 per axis.
+
+    ``conv3d`` runs only 1->1 kernels.  The network's (F, 1, kD, kH, kW) stem
+    kernel is never run as a 3-D conv: ``HcaNet`` folds it into a 2-D kernel.
+    """
 
     kernel: Tensor
 
@@ -380,70 +377,21 @@ def _conv_gemm(x: Tensor, w: Conv2dWeights, n, c, out_c, kh, kw, s, d, pad) -> T
 
 
 def conv3d(x: Tensor, w: Conv3dWeights) -> Tensor:
-    """3-D cross-correlation at stride 1 with "same" padding.  x: (N, F, D, H, W)."""
-    if x.ndim != 5:
-        raise ShapeError(f"conv3d expects (N, F, D, H, W), got {x.shape}")
-    n, f, dd, h, wd = x.shape
-    out_f, in_f, kd, kh, kw = w.kernel.shape
-    if f != in_f:
-        raise ShapeError(f"conv3d: input features {f} != kernel features {in_f}")
-    pd, ph, pw = pad = (kd // 2, kh // 2, kw // 2)
-    do = dd + 2 * pd - kd + 1
-    ho = h + 2 * ph - kh + 1
-    wo = wd + 2 * pw - kw + 1
-    if min(do, ho, wo) <= 0:
+    """1->1 3-D cross-correlation at stride 1 with "same" padding.  x: (N, 1, D, H, W)."""
+    if x.ndim != 5 or x.shape[1] != 1 or w.kernel.shape[:2] != (1, 1):
+        raise ShapeError(f"conv3d maps 1 feature to 1: input {x.shape}, kernel {w.kernel.shape}")
+    ksize = w.kernel.shape[2:]
+    pad = tuple(k // 2 for k in ksize)
+    if any(_out_extent(e, k, 1, q, 1) <= 0 for e, k, q in zip(x.shape[2:], ksize, pad)):
         raise ShapeError(f"conv3d: empty output for input {x.shape} kernel {w.kernel.shape}")
-    if f == 1 and out_f == 1:
-        return _conv_per_channel(x, w, pad, (kd, kh, kw), 1, 1, "conv3d")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw))) if (pd or ph or pw) else x.data
-    kdta = w.kernel.data
-
-    def taps():
-        for a in range(kd):
-            for b in range(kh):
-                for cc in range(kw):
-                    yield (a * kh + b) * kw + cc, slice(a, a + do), slice(b, b + ho), slice(cc, cc + wo)
-
-    # one output depth slice at a time: im2col into a reused (N, K*F, H*W)
-    # slab and one GEMM per slice, written straight into the output
-    km = kdta.transpose(0, 2, 3, 4, 1).reshape(out_f, -1)  # tap-major to match cols
-    cols = np.empty((n, km.shape[1], ho * wo), dtype=x.data.dtype)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-    out = np.empty((n, out_f, do, ho, wo), dtype=np.result_type(km, cols))
-    out_slices = out.reshape(n, out_f, do, ho * wo)
-    for d in range(do):
-        # (N, F, H, W, kD, kH, kW) -> rows ordered tap-major, then feature
-        np.copyto(cols.reshape(n, kd, kh, kw, f, ho, wo), windows[:, :, d].transpose(0, 4, 5, 6, 1, 2, 3))
-        np.matmul(km, cols, out=out_slices[:, :, d])
-
-    def vjp(g):
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(kdta)
-        ell = do * ho * wo
-        gf = g.reshape(n, out_f, ell)
-        cols_b = np.empty((n, f * kd * kh * kw, ell), dtype=xp.dtype)
-        grid_b = cols_b.reshape(n, f * kd * kh * kw, do, ho, wo)
-        for t, ds_, rs, cs in taps():
-            grid_b[:, t * f : (t + 1) * f] = xp[:, :, ds_, rs, cs]
-        gkm = np.matmul(gf, cols_b.transpose(0, 2, 1)).sum(axis=0)  # (outF, K*F)
-        gk[:] = gkm.reshape(out_f, kd, kh, kw, f).transpose(0, 4, 1, 2, 3)
-        gcols = np.matmul(km.T, gf)  # (N, K*F, L)
-        for t, ds_, rs, cs in taps():
-            gxp[:, :, ds_, rs, cs] += gcols[:, t * f : (t + 1) * f, :].reshape(n, f, do, ho, wo)
-        gx = gxp[:, :, pd : pd + dd, ph : ph + h, pw : pw + wd] if (pd or ph or pw) else gxp
-        return gx, gk
-
-    return Tensor._from_op(out, "conv3d", (x, w.kernel), vjp)
+    return _conv_per_channel(x, w, pad, ksize, 1, 1, "conv3d")
 
 
 def conv3d_on_features(x: Tensor, w: Conv3dWeights) -> Tensor:
     """Apply a 3-D conv to a 2-D feature map by treating channels as depth.
 
-    (N, C, H, W) -> (N, 1, C, H, W) -> conv3d -> (N, C, H, W).  Requires a
-    single feature channel in and out.
+    (N, C, H, W) -> (N, 1, C, H, W) -> conv3d -> (N, C, H, W).
     """
-    if w.kernel.shape[0] != 1 or w.kernel.shape[1] != 1:
-        raise ShapeError(f"feature-map 3-D conv requires 1->1 feature channels, got {w.kernel.shape}")
     n, c, h, wd = x.shape
     y = conv3d(reshape(x, (n, 1, c, h, wd)), w)
     return reshape(y, (n, c, h, wd))

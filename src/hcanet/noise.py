@@ -194,12 +194,11 @@ def _stripe_band(y: np.ndarray, band: int, seed: int, frac_min, frac_max, amplit
 
 def add_stripe(
     x: np.ndarray, seed: int, *, frac_min: float = 0.05, frac_max: float = 0.15,
-    amplitude: float = 0.25, bands: np.ndarray | None = None,
+    amplitude: float = 0.25,
 ) -> tuple[np.ndarray, DegradationReport]:
     """Additive constant-per-column stripes on ceil(B/3) random bands."""
     y = _check_cube(x)
-    if bands is None:
-        bands = _affected_bands(seed, _TAG_STRIPE, y.shape[2])
+    bands = _affected_bands(seed, _TAG_STRIPE, y.shape[2])
     entries = [_stripe_band(y, band, seed, frac_min, frac_max, amplitude) for band in bands]
     return y, DegradationReport(kind="stripe", seed=seed, stripe=entries)
 
@@ -236,12 +235,10 @@ def _deadline_band(y: np.ndarray, band: int, seed: int, frac_min, frac_max) -> D
 
 def add_deadline(
     x: np.ndarray, seed: int, *, frac_min: float = 0.05, frac_max: float = 0.15,
-    bands: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DegradationReport]:
     """Zeroed column runs (width 1-3) on ceil(B/3) random bands."""
     y = _check_cube(x)
-    if bands is None:
-        bands = _affected_bands(seed, _TAG_DEADLINE, y.shape[2])
+    bands = _affected_bands(seed, _TAG_DEADLINE, y.shape[2])
     entries = [_deadline_band(y, band, seed, frac_min, frac_max) for band in bands]
     return y, DegradationReport(kind="deadline", seed=seed, deadline=entries)
 
@@ -261,12 +258,10 @@ def _impulse_band(y: np.ndarray, band: int, seed: int, p_min, p_max) -> ImpulseE
 
 def add_impulse(
     x: np.ndarray, seed: int, *, p_min: float = 0.3, p_max: float = 0.7,
-    bands: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DegradationReport]:
     """Salt-and-pepper with density p ~ U[p_min, p_max] on ceil(B/3) random bands."""
     y = _check_cube(x)
-    if bands is None:
-        bands = _affected_bands(seed, _TAG_IMPULSE, y.shape[2])
+    bands = _affected_bands(seed, _TAG_IMPULSE, y.shape[2])
     entries = [_impulse_band(y, band, seed, p_min, p_max) for band in bands]
     return y, DegradationReport(kind="impulse", seed=seed, impulse=entries)
 

@@ -159,15 +159,13 @@ def _mix(*parts: int) -> int:
     return z
 
 
-def _noisy_pair(dataset: PatchDataset, index: int, spec: NoiseSpec, seed: int):
-    clean = dataset.patch(index)
-    noisy, _ = apply_noise(clean, dataclasses.replace(spec, seed=seed))
-    return clean, noisy
-
-
-def _assemble(dataset, items, spec):
-    """items: list of (sample index, noise seed)."""
-    return [_noisy_pair(dataset, i, spec, s) for i, s in items]
+def _assemble(dataset: PatchDataset, items, spec: NoiseSpec):
+    """(clean, noisy) patch pairs for items, a list of (sample index, noise seed)."""
+    pairs = []
+    for i, seed in items:
+        clean = dataset.patch(i)
+        pairs.append((clean, apply_noise(clean, dataclasses.replace(spec, seed=seed))[0]))
+    return pairs
 
 
 def _to_batch(pairs) -> tuple[np.ndarray, np.ndarray]:

@@ -184,27 +184,63 @@ def test_denoise_corrupt_checkpoint_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_denoise_checkpoint_claiming_a_huge_network_exits_3(tmp_path, capsys):
-    import dataclasses
+def checkpoint_with_header(tmp_path, **fields):
+    """A checkpoint file whose config is the 4-band paper preset with ``fields`` set,
+    written as raw JSON so the config need not be valid, followed by 64 zero bytes."""
     import struct
-    import tracemalloc
 
     from hcanet.network import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, paper_config
 
-    cfg = dataclasses.replace(paper_config(4), base_width=2**16).to_json().encode("utf-8")
-    bad = tmp_path / "huge.hcaw"
+    doc = json.loads(paper_config(4).to_json())
+    doc.update(fields)
+    cfg = json.dumps(doc).encode("utf-8")
+    bad = tmp_path / "bad.hcaw"
     bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg)) + cfg + b"\x00" * 64)
+    return str(bad)
+
+
+def denoise_peak(tmp_path, model):
+    """Exit code and tracemalloc peak of ``hcanet denoise`` with this model on a small cube."""
+    import tracemalloc
+
     src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
     tracemalloc.start()
     try:
-        code = main(["denoise", "--model", str(bad), "--in", src, "--out", str(tmp_path / "o.hsic")])
+        code = main(["denoise", "--model", model, "--in", src, "--out", str(tmp_path / "o.hsic")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+def test_denoise_checkpoint_claiming_a_huge_network_exits_3(tmp_path, capsys):
+    code, peak = denoise_peak(tmp_path, checkpoint_with_header(tmp_path, base_width=2**16))
     assert code == 3
     assert "implies" in capsys.readouterr().err
     # a network drawn for this config would hold about 10**14 parameters
     assert peak < 1 << 20
+
+
+def test_denoise_checkpoint_claiming_a_million_blocks_exits_3(tmp_path, capsys):
+    model = checkpoint_with_header(tmp_path, levels=1, blocks_per_level=[10**6])
+    code, peak = denoise_peak(tmp_path, model)
+    assert code == 3
+    assert "blocks" in capsys.readouterr().err
+    # building the blank network first would allocate gigabytes
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("fields", [
+    dict(base_width=18, shuffle_groups=4),  # base_width must be divisible by shuffle_groups
+    dict(shuffle_groups=0),
+    dict(gamma=1.5),
+    dict(blocks_per_level=[2.5, 2, 2, 2]),
+], ids=["indivisible", "zero_groups", "float_gamma", "float_blocks"])
+def test_denoise_checkpoint_with_an_invalid_config_exits_3(tmp_path, capsys, fields):
+    model = checkpoint_with_header(tmp_path, **fields)
+    src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
+    assert main(["denoise", "--model", model, "--in", src, "--out", str(tmp_path / "o.hsic")]) == 3
+    assert "bad NetworkConfig" in capsys.readouterr().err
 
 
 # -- gradcheck ----------------------------------------------------------------

@@ -9,7 +9,8 @@ from hcanet.cafm import CafmWeights
 from hcanet.errors import ConfigError, FormatError, ShapeError
 from hcanet.msfn import FfnWeights, MsfnWeights
 from hcanet.network import HcaNet, NetworkConfig, desk_config, paper_config
-from hcanet.tensor import Tensor, backward, sum_all
+from hcanet.nn import Conv2dWeights, conv2d
+from hcanet.tensor import Tensor, backward, no_grad, sum_all
 
 
 def tiny_config(**kw):
@@ -27,6 +28,12 @@ class TestConfig:
     def test_width_group_divisibility(self):
         with pytest.raises(ConfigError):
             NetworkConfig(bands=4, base_width=6, shuffle_groups=4)
+
+    @pytest.mark.parametrize("kw", [dict(gamma=1.5), dict(blocks_per_level=(1, 2.0)), dict(shuffle_groups=0),
+                                    dict(base_width=0)])
+    def test_non_integer_or_zero_sizes_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            tiny_config(**kw)
 
     def test_json_roundtrip(self):
         cfg = tiny_config(msfn_enabled=False)
@@ -82,6 +89,47 @@ class TestForward:
         x = Tensor(np.random.default_rng(4).standard_normal((1, 4, 8, 8)).astype(np.float32))
         got = net.denoise_batch(x).data
         np.testing.assert_array_equal(got, x.data + net.forward(x).data)
+
+
+class TestStem:
+    @staticmethod
+    def two_op_stem(net, x):
+        """Float64 oracle: the direct 3-D conv loop (band padding kD // 2), then the 1x1 collapse."""
+        k3 = net.stem_3d.kernel.data.astype(np.float64)
+        k1 = net.stem_collapse.kernel.data.astype(np.float64)[:, :, 0, 0]
+        f, _, kd, kh, kw = k3.shape
+        n, b, h, w = x.shape
+        xp = np.pad(x.astype(np.float64)[:, None], ((0, 0), (0, 0), (kd // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2))
+        z = np.zeros((n, f, b, h, w))
+        for a in range(kd):
+            for i in range(kh):
+                for j in range(kw):
+                    z += np.einsum("of,nfdhw->nodhw", k3[:, :, a, i, j], xp[:, :, a : a + b, i : i + h, j : j + w])
+        return np.einsum("oc,nchw->nohw", k1, z.reshape(n, f * b, h, w))
+
+    @pytest.mark.parametrize("conv3d_enabled", [True, False], ids=["3x3x3", "1x3x3"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_folded_stem_matches_3d_conv_then_collapse(self, conv3d_enabled, batch):
+        net = HcaNet(tiny_config(bands=6, conv3d_enabled=conv3d_enabled), seed=8)
+        x = np.random.default_rng(8).standard_normal((batch, 6, 8, 12)).astype(np.float32)
+        got = conv2d(Tensor(x), Conv2dWeights(net._stem_kernel())).data
+        np.testing.assert_allclose(got, self.two_op_stem(net, x), rtol=0, atol=1e-5)
+
+    def test_paper_forward_peak_memory(self):
+        import tracemalloc
+
+        net = HcaNet(paper_config(31), seed=0)
+        x = Tensor(np.random.default_rng(9).random((1, 31, 64, 64)).astype(np.float32))
+        with no_grad():
+            net.forward(Tensor(x.data[:, :, :8, :8]))  # first-call imports stay out of the peak
+            tracemalloc.start()
+            try:
+                net.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # about 9x; a stem that holds its (1, 16, 31, 64, 64) feature volume peaks at 18x
+        assert peak < 16 * x.data.nbytes
 
 
 class TestParamCount:
