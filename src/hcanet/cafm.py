@@ -111,15 +111,11 @@ def attention_map(q_hat: Tensor, k_hat: Tensor, alpha) -> Tensor:
     sums to 1, so V_hat @ A mixes value channels convexly.
     """
     logits = matmul(k_hat, q_hat)
-    if isinstance(alpha, Tensor):
-        if alpha.item() <= 0:
-            raise ContractError(f"attention temperature must be positive, got {alpha.item()}")
-        logits = scale_by(logits, reciprocal(alpha))
-    else:
-        if alpha <= 0:
-            raise ContractError(f"attention temperature must be positive, got {alpha}")
-        logits = scale_by(logits, reciprocal(Tensor(np.asarray(alpha), dtype=logits.dtype)))
-    return softmax(logits, axis=-1)
+    if not isinstance(alpha, Tensor):
+        alpha = Tensor(alpha, dtype=logits.dtype)
+    if alpha.item() <= 0:
+        raise ContractError(f"attention temperature must be positive, got {alpha.item()}")
+    return softmax(scale_by(logits, reciprocal(alpha)), axis=-1)
 
 
 def global_branch(y: Tensor, w: CafmWeights) -> Tensor:

@@ -57,11 +57,11 @@ CASE_TOKENS = {
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
     command: str
-    version: str
     configs: dict
     inputs: dict
     outputs: tuple[str, ...]
     seed: int | None = None
+    version: str = __version__
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
@@ -87,17 +87,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _manifest_for(command, configs, inputs, outputs, seed=None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        version=__version__,
-        configs=configs,
-        inputs=inputs,
-        outputs=tuple(outputs),
-        seed=seed,
-    )
-
-
 def _spec_for(case: str, seed: int) -> NoiseSpec:
     kind, sigma = CASE_TOKENS[case]
     if sigma is None:
@@ -117,11 +106,11 @@ def cmd_simulate(args) -> int:
     with open(report_path, "w", encoding="utf-8") as f:
         f.write(report.to_json())
     manifest_path = args.out + ".manifest.json"
-    _manifest_for(
+    RunManifest(
         "simulate",
         configs={"noise": json.loads(spec.to_json())},
         inputs={"in": {"path": args.input, "sha256": _sha256_file(args.input)}},
-        outputs=[args.out, report_path],
+        outputs=(args.out, report_path),
         seed=args.seed,
     ).save(manifest_path)
     _emit(
@@ -153,6 +142,9 @@ def _load_sections(path) -> dict:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}, expected among {sorted(known)}")
+    for name, section in doc.items():
+        if not isinstance(section, dict):
+            raise FormatError(f"{path}: config section {name!r} must be a JSON object, got {section!r}")
     return doc
 
 
@@ -167,14 +159,8 @@ def cmd_train(args) -> int:
     sections = _load_sections(args.config)
 
     tc = dict(sections.get("train", {}))
-    for flag, key in (
-        ("epochs", "epochs"),
-        ("batch_size", "batch_size"),
-        ("lr0", "lr0"),
-        ("lr_final", "lr_final"),
-        ("seed", "seed"),
-    ):
-        v = getattr(args, flag)
+    for key in ("epochs", "batch_size", "lr0", "lr_final", "seed"):
+        v = getattr(args, key)
         if v is not None:
             tc[key] = v
     train_cfg = _build(TrainConfig, tc, "train")
@@ -186,6 +172,8 @@ def cmd_train(args) -> int:
     nsec = dict(sections.get("network", {}))
     if nsec:
         if "blocks_per_level" in nsec:
+            if not isinstance(nsec["blocks_per_level"], list):
+                raise ConfigError(f"network.blocks_per_level must be a list, got {nsec['blocks_per_level']!r}")
             nsec["blocks_per_level"] = tuple(nsec["blocks_per_level"])
         nsec.setdefault("bands", bands)
         net_cfg = _build(NetworkConfig, nsec, "network")
@@ -218,7 +206,7 @@ def cmd_train(args) -> int:
     best = result.best_path if result.best_epoch >= 0 else None  # written only when validation ran
 
     manifest_path = os.path.join(args.out, "manifest.json")
-    _manifest_for(
+    RunManifest(
         "train",
         configs={
             "loss": dataclasses.asdict(loss_cfg),
@@ -227,7 +215,7 @@ def cmd_train(args) -> int:
             "train": json.loads(train_cfg.to_json()),
         },
         inputs={"data": {"path": args.data, "sha256": _sha256_text(data_manifest.to_json())}},
-        outputs=[p for p in (result.log_path, best, result.last_path) if p is not None],
+        outputs=tuple(p for p in (result.log_path, best, result.last_path) if p is not None),
         seed=train_cfg.seed,
     ).save(manifest_path)
 
@@ -261,14 +249,14 @@ def cmd_denoise(args) -> int:
     restored = np.clip(net.denoise(cube), 0.0, 1.0)  # clip at export only
     save_cube(restored, args.out)
     manifest_path = args.out + ".manifest.json"
-    _manifest_for(
+    RunManifest(
         "denoise",
         configs={"network": json.loads(net.config.to_json())},
         inputs={
             "in": {"path": args.input, "sha256": _sha256_file(args.input)},
             "model": {"path": args.model, "sha256": _sha256_file(args.model)},
         },
-        outputs=[args.out],
+        outputs=(args.out,),
     ).save(manifest_path)
     _emit({"manifest": manifest_path, "out": args.out})
     return EXIT_CODES["ok"]
@@ -284,14 +272,14 @@ def cmd_eval(args) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(report.to_json())
     manifest_path = args.out + ".manifest.json"
-    _manifest_for(
+    RunManifest(
         "eval",
         configs={},
         inputs={
             "pred": {"path": args.pred, "sha256": _sha256_file(args.pred)},
             "ref": {"path": args.ref, "sha256": _sha256_file(args.ref)},
         },
-        outputs=[args.out],
+        outputs=(args.out,),
     ).save(manifest_path)
     print(report.to_json())
     return EXIT_CODES["ok"]

@@ -1,4 +1,4 @@
-"""Cube files, patch extraction, augmentation, and dataset assembly.
+"""Cube files, augmentation, and dataset assembly.
 
 File format "HSIC": magic, u32 version, u32 H, W, B, u32 dtype code
 (0 = little-endian float32), then the payload band-major (band, row, column).
@@ -17,7 +17,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,46 +68,6 @@ def load_cube(path) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(cube, (1, 2, 0)))
 
 
-# -- patch extraction ----------------------------------------------------------
-
-
-def crop_patches(
-    cube: np.ndarray,
-    size: tuple[int, int, int],
-    mode: str = "random",
-    *,
-    count: int = 1,
-    stride: int | None = None,
-    seed: int = 0,
-) -> list[np.ndarray]:
-    """Exact sub-blocks of the given size.
-
-    mode "random": count patches at uniform valid origins (all three axes).
-    mode "stride": spatial tiling at the given stride, band origin 0.
-    """
-    ph, pw, pb = size
-    h, w, b = cube.shape
-    if ph > h or pw > w or pb > b:
-        raise ConfigError(f"patch {size} exceeds cube extents {cube.shape}")
-    if mode == "random":
-        rng = np.random.Generator(np.random.Philox(seed))
-        out = []
-        for _ in range(count):
-            oh = int(rng.integers(0, h - ph + 1))
-            ow = int(rng.integers(0, w - pw + 1))
-            ob = int(rng.integers(0, b - pb + 1))
-            out.append(cube[oh : oh + ph, ow : ow + pw, ob : ob + pb].copy())
-        return out
-    if mode == "stride":
-        s = stride or ph
-        return [
-            cube[i : i + ph, j : j + pw, :pb].copy()
-            for i in range(0, h - ph + 1, s)
-            for j in range(0, w - pw + 1, s)
-        ]
-    raise ConfigError(f"unknown crop mode {mode!r}")
-
-
 # -- augmentation ----------------------------------------------------------------
 
 
@@ -135,21 +95,10 @@ def bilinear_scale(cube: np.ndarray, s: float) -> np.ndarray:
 
 
 def augment(patch: np.ndarray, op: str) -> np.ndarray:
-    """op: identity | rot90 | rot180 | rot270 | scale<f> (e.g. scale0.75)."""
-    if op == "identity":
-        return patch.copy()
-    if op in ("rot90", "rot180", "rot270"):
-        k = {"rot90": 1, "rot180": 2, "rot270": 3}[op]
-        return np.ascontiguousarray(np.rot90(patch, k, axes=(0, 1)))
-    if op.startswith("scale"):
-        try:
-            s = float(op[len("scale") :])
-        except ValueError:
-            raise ConfigError(f"bad scale op {op!r}") from None
-        if s <= 0:
-            raise ConfigError(f"scale factor must be positive, got {s}")
-        return bilinear_scale(patch, s)
-    raise ConfigError(f"unknown augmentation {op!r}")
+    """Rotate the spatial axes by one of ROTATIONS; returns a new C-contiguous array."""
+    if op not in ROTATIONS:
+        raise ConfigError(f"unknown augmentation {op!r}, expected one of {ROTATIONS}")
+    return np.rot90(patch, ROTATIONS.index(op), axes=(0, 1)).copy()
 
 
 # -- manifest and dataset -----------------------------------------------------------

@@ -1,14 +1,18 @@
 """Synthetic degradation of clean cubes: Gaussian, stripe, deadline, impulse.
 
+``apply_noise(x, spec)`` is the one entry point: it builds the Gaussian,
+blind and case 1-5 degradations that ``NoiseSpec.kind`` names and returns
+the noisy cube with a ``DegradationReport``.
+
 Sigma values are quoted on the 0-255 scale and applied as sigma/255 to data
 in [0, 1].  Nothing is clipped: clipping would bias the Gaussian statistics,
 and the metrics tolerate out-of-range values.
 
 Determinism: every draw comes from a Philox counter-based generator keyed by
 (seed, noise-type tag, band).  Streams are independent per (type, band), so
-composite cases reuse the exact same realizations as their standalone parts:
-case2(x) == add_stripe(case1(x)) bit for bit.  Band-selection draws use the
-sentinel band index 0xFFFFFFFF.
+the cases share their realizations: case2(x) equals case1(x) plus the
+reported stripe offsets, bit for bit.  Band-selection draws use the sentinel
+band index 0xFFFFFFFF.
 
 Cubes are (H, W, B) float32; stripes, deadlines, and impulse noise afflict
 ceil(B/3) randomly chosen bands (cases 2-4) or a per-band coin-flip subset of
@@ -119,12 +123,6 @@ class DegradationReport:
     deadline: list[DeadlineEntry] = field(default_factory=list)
     impulse: list[ImpulseEntry] = field(default_factory=list)
 
-    def merge(self, other: "DegradationReport") -> None:
-        self.gaussian += other.gaussian
-        self.stripe += other.stripe
-        self.deadline += other.deadline
-        self.impulse += other.impulse
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
@@ -175,45 +173,33 @@ def add_noniid_gaussian(
     return y, DegradationReport(kind="noniid_gaussian", seed=seed, gaussian=entries)
 
 
-# -- stripe -------------------------------------------------------------------
+# -- band noises ----------------------------------------------------------------
 
 
-def _stripe_band(y: np.ndarray, band: int, seed: int, frac_min, frac_max, amplitude) -> StripeEntry:
+def _stripe_band(y: np.ndarray, band: int, spec: NoiseSpec) -> StripeEntry:
+    """Additive constant-per-column stripes on a fraction of the band's columns."""
     w = y.shape[1]
     if w < 20:
         raise ContractError(f"stripe noise needs width >= 20 columns, got {w}")
-    st = _stream(seed, _TAG_STRIPE, band)
-    frac = st.uniform(frac_min, frac_max)
-    n = _column_count(frac, w, frac_min, frac_max)
+    lo, hi = spec.stripe_frac_min, spec.stripe_frac_max
+    st = _stream(spec.seed, _TAG_STRIPE, band)
+    n = _column_count(st.uniform(lo, hi), w, lo, hi)
     cols = np.sort(st.choice(w, size=n, replace=False))
-    offsets = st.uniform(-amplitude, amplitude, size=n).astype(np.float32)
+    offsets = st.uniform(-spec.stripe_amplitude, spec.stripe_amplitude, size=n).astype(np.float32)
     y[:, cols, band] += offsets
     return StripeEntry(band=int(band), fraction=n / w,
                        columns=[int(c) for c in cols], offsets=[float(o) for o in offsets])
 
 
-def add_stripe(
-    x: np.ndarray, seed: int, *, frac_min: float = 0.05, frac_max: float = 0.15,
-    amplitude: float = 0.25,
-) -> tuple[np.ndarray, DegradationReport]:
-    """Additive constant-per-column stripes on ceil(B/3) random bands."""
-    y = _check_cube(x)
-    bands = _affected_bands(seed, _TAG_STRIPE, y.shape[2])
-    entries = [_stripe_band(y, band, seed, frac_min, frac_max, amplitude) for band in bands]
-    return y, DegradationReport(kind="stripe", seed=seed, stripe=entries)
-
-
-# -- deadline -----------------------------------------------------------------
-
-
-def _deadline_band(y: np.ndarray, band: int, seed: int, frac_min, frac_max) -> DeadlineEntry:
+def _deadline_band(y: np.ndarray, band: int, spec: NoiseSpec) -> DeadlineEntry:
+    """Zeroed runs of 1-3 adjacent columns on a fraction of the band's columns."""
     w = y.shape[1]
     if w < 20:
         raise ContractError(f"deadline noise needs width >= 20 columns, got {w}")
-    st = _stream(seed, _TAG_DEADLINE, band)
-    frac = st.uniform(frac_min, frac_max)
-    n = _column_count(frac, w, frac_min, frac_max)
-    # runs of 1-3 adjacent columns, placed without overlap, totalling n columns
+    lo, hi = spec.deadline_frac_min, spec.deadline_frac_max
+    st = _stream(spec.seed, _TAG_DEADLINE, band)
+    n = _column_count(st.uniform(lo, hi), w, lo, hi)
+    # runs placed without overlap, totalling n columns
     free = np.ones(w, dtype=bool)
     dead: list[int] = []
     remaining = n
@@ -233,22 +219,10 @@ def _deadline_band(y: np.ndarray, band: int, seed: int, frac_min, frac_max) -> D
     return DeadlineEntry(band=int(band), fraction=n / w, columns=[int(c) for c in cols])
 
 
-def add_deadline(
-    x: np.ndarray, seed: int, *, frac_min: float = 0.05, frac_max: float = 0.15,
-) -> tuple[np.ndarray, DegradationReport]:
-    """Zeroed column runs (width 1-3) on ceil(B/3) random bands."""
-    y = _check_cube(x)
-    bands = _affected_bands(seed, _TAG_DEADLINE, y.shape[2])
-    entries = [_deadline_band(y, band, seed, frac_min, frac_max) for band in bands]
-    return y, DegradationReport(kind="deadline", seed=seed, deadline=entries)
-
-
-# -- impulse ------------------------------------------------------------------
-
-
-def _impulse_band(y: np.ndarray, band: int, seed: int, p_min, p_max) -> ImpulseEntry:
-    st = _stream(seed, _TAG_IMPULSE, band)
-    p = st.uniform(p_min, p_max)
+def _impulse_band(y: np.ndarray, band: int, spec: NoiseSpec) -> ImpulseEntry:
+    """Salt-and-pepper with density p ~ U[impulse_min, impulse_max]."""
+    st = _stream(spec.seed, _TAG_IMPULSE, band)
+    p = st.uniform(spec.impulse_min, spec.impulse_max)
     mask = st.random(y.shape[:2]) < p
     salt = st.random(y.shape[:2]) < 0.5
     plane = y[:, :, band]
@@ -256,58 +230,24 @@ def _impulse_band(y: np.ndarray, band: int, seed: int, p_min, p_max) -> ImpulseE
     return ImpulseEntry(band=int(band), density=float(p), corrupted=int(mask.sum()))
 
 
-def add_impulse(
-    x: np.ndarray, seed: int, *, p_min: float = 0.3, p_max: float = 0.7,
-) -> tuple[np.ndarray, DegradationReport]:
-    """Salt-and-pepper with density p ~ U[p_min, p_max] on ceil(B/3) random bands."""
-    y = _check_cube(x)
-    bands = _affected_bands(seed, _TAG_IMPULSE, y.shape[2])
-    entries = [_impulse_band(y, band, seed, p_min, p_max) for band in bands]
-    return y, DegradationReport(kind="impulse", seed=seed, impulse=entries)
+# (report list, band-selection tag, band function), applied to a band in this order
+_BAND_NOISES = (
+    ("stripe", _TAG_STRIPE, _stripe_band),
+    ("deadline", _TAG_DEADLINE, _deadline_band),
+    ("impulse", _TAG_IMPULSE, _impulse_band),
+)
 
 
-# -- composite cases -------------------------------------------------------------
-
-
-def compose_case(x: np.ndarray, case_id: int, seed: int, spec: NoiseSpec | None = None):
-    """Case 1: non-i.i.d. Gaussian.  Cases 2-4 add stripe / deadline / impulse.
-
-    Case 5 adds, per band, an independent coin-flip subset of the three
-    structured types on top of case 1.
-    """
-    if case_id not in (1, 2, 3, 4, 5):
-        raise ConfigError(f"case_id must be 1..5, got {case_id}")
-    if spec is None:
-        spec = NoiseSpec(kind=f"case{case_id}", seed=seed)
-    y, report = add_noniid_gaussian(x, seed, spec.sigma_min, spec.sigma_max)
-    report.kind = f"case{case_id}"
-    if case_id == 2:
-        y, extra = add_stripe(y, seed, frac_min=spec.stripe_frac_min,
-                              frac_max=spec.stripe_frac_max, amplitude=spec.stripe_amplitude)
-        report.merge(extra)
-    elif case_id == 3:
-        y, extra = add_deadline(y, seed, frac_min=spec.deadline_frac_min,
-                                frac_max=spec.deadline_frac_max)
-        report.merge(extra)
-    elif case_id == 4:
-        y, extra = add_impulse(y, seed, p_min=spec.impulse_min, p_max=spec.impulse_max)
-        report.merge(extra)
-    elif case_id == 5:
-        for band in range(y.shape[2]):
-            flags = _stream(seed, _TAG_CASE5, band).random(3) < 0.5
-            if flags[0]:
-                report.stripe.append(_stripe_band(y, band, seed, spec.stripe_frac_min,
-                                                  spec.stripe_frac_max, spec.stripe_amplitude))
-            if flags[1]:
-                report.deadline.append(_deadline_band(y, band, seed, spec.deadline_frac_min,
-                                                      spec.deadline_frac_max))
-            if flags[2]:
-                report.impulse.append(_impulse_band(y, band, seed, spec.impulse_min, spec.impulse_max))
-    return y, report
+# -- entry point ------------------------------------------------------------------
 
 
 def apply_noise(x: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, DegradationReport]:
-    """Dispatch on spec.kind; the single entry point used by the pipeline."""
+    """Degrade a clean cube as spec.kind says; the single entry point used by the pipeline.
+
+    Cases 1-5 start from non-i.i.d. Gaussian noise (case 1).  Cases 2-4 add
+    stripe / deadline / impulse noise on ceil(B/3) bands; case 5 adds, per
+    band, an independent coin-flip subset of the three.
+    """
     if spec.kind == "gaussian":
         return add_gaussian(x, spec.sigma, spec.seed)
     if spec.kind == "blind":
@@ -315,4 +255,19 @@ def apply_noise(x: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, Degradation
         y, report = add_gaussian(x, sigma, spec.seed)
         report.kind = "blind"
         return y, report
-    return compose_case(x, int(spec.kind[-1]), spec.seed, spec)
+    y, report = add_noniid_gaussian(x, spec.seed, spec.sigma_min, spec.sigma_max)
+    report.kind = spec.kind
+    b = y.shape[2]
+    case = int(spec.kind[-1])
+    # enabled[band, i]: apply _BAND_NOISES[i] to band
+    if case == 5:
+        enabled = np.array([_stream(spec.seed, _TAG_CASE5, band).random(3) < 0.5 for band in range(b)])
+    else:
+        enabled = np.zeros((b, len(_BAND_NOISES)), dtype=bool)
+        if case > 1:  # cases 2-4: band noise case-2 on the bands its tag selects
+            enabled[_affected_bands(spec.seed, _BAND_NOISES[case - 2][1], b), case - 2] = True
+    for band in range(b):
+        for (entries, _, band_noise), on in zip(_BAND_NOISES, enabled[band]):
+            if on:
+                getattr(report, entries).append(band_noise(y, band, spec))
+    return y, report

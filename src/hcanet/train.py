@@ -47,6 +47,10 @@ class TrainConfig:
     checkpoint_every: int = 1
 
     def __post_init__(self):
+        counts = (self.epochs, self.batch_size, self.seed, self.val_noise_seed, self.checkpoint_every)
+        # a float count would fail only after the network is built
+        if not all(isinstance(v, int) for v in counts):
+            raise ConfigError(f"epochs, batch_size, seeds and checkpoint_every must be integers, got {self}")
         if self.epochs <= 0:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size <= 0:

@@ -361,6 +361,27 @@ def test_train_unknown_section_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("section, key, value, code", [
+    ("noise", None, [1, 2], 3),  # a section that is not a JSON object is a malformed file
+    ("train", None, "x", 3),
+    ("network", "blocks_per_level", 5, 2),
+    ("train", "epochs", 1.5, 2),
+    ("train", "batch_size", 1.5, 2),
+], ids=["noise_list", "train_string", "blocks_int", "float_epochs", "float_batch_size"])
+def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, key, value, code):
+    data_path, config_path = train_fixture(tmp_path)
+    cfg = json.load(open(config_path, encoding="utf-8"))
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    with open(config_path, "w", encoding="utf-8") as f:
+        json.dump(cfg, f)
+    assert main(["train", "--config", config_path, "--data", data_path, "--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (key or section) in err
+
+
 def test_train_missing_data_exits_3(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "none.json"), "--out", str(tmp_path / "r")])
     assert code == 3

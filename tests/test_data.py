@@ -65,47 +65,6 @@ class TestCubeFile:
         np.testing.assert_array_equal(payload.reshape(2, 2, 3), np.transpose(cube, (2, 0, 1)))
 
 
-class TestCropPatches:
-    def test_random_patch_shape(self):
-        cube = rand_cube(64, 64, 8)
-        patches = data.crop_patches(cube, (16, 16, 8), "random", count=5, seed=1)
-        assert len(patches) == 5
-        assert all(p.shape == (16, 16, 8) for p in patches)
-
-    def test_stride_tiling_disjoint(self):
-        cube = rand_cube(32, 32, 4)
-        patches = data.crop_patches(cube, (16, 16, 4), "stride")
-        assert len(patches) == 4
-        rebuilt = np.empty_like(cube)
-        rebuilt[:16, :16] = patches[0]
-        rebuilt[:16, 16:] = patches[1]
-        rebuilt[16:, :16] = patches[2]
-        rebuilt[16:, 16:] = patches[3]
-        assert np.array_equal(rebuilt, cube)
-
-    def test_patches_are_sub_blocks(self):
-        cube = rand_cube(32, 32, 6)
-        for p in data.crop_patches(cube, (8, 8, 3), "random", count=8, seed=2):
-            # locate by matching the first voxel then verify the whole block
-            matches = np.argwhere(np.isclose(cube, p[0, 0, 0]))
-            found = any(
-                oh + 8 <= 32 and ow + 8 <= 32 and ob + 3 <= 6
-                and np.array_equal(cube[oh : oh + 8, ow : ow + 8, ob : ob + 3], p)
-                for oh, ow, ob in matches
-            )
-            assert found
-
-    def test_oversize_rejected(self):
-        with pytest.raises(ConfigError):
-            data.crop_patches(rand_cube(), (16, 8, 4), "random")
-
-    def test_deterministic_in_seed(self):
-        cube = rand_cube(32, 32, 4)
-        a = data.crop_patches(cube, (8, 8, 4), "random", count=3, seed=9)
-        b = data.crop_patches(cube, (8, 8, 4), "random", count=3, seed=9)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
 class TestAugment:
     def test_rot90_four_times_identity(self):
         p = rand_cube()
@@ -123,15 +82,15 @@ class TestAugment:
 
     def test_scale_one_identity(self):
         p = rand_cube()
-        assert np.array_equal(data.augment(p, "scale1.0"), p)
+        assert np.array_equal(data.bilinear_scale(p, 1.0), p)
 
     def test_scale_half_shape(self):
         p = rand_cube(16, 16, 4)
-        assert data.augment(p, "scale0.5").shape == (8, 8, 4)
+        assert data.bilinear_scale(p, 0.5).shape == (8, 8, 4)
 
     def test_scale_stays_in_source_range(self):
         p = rand_cube(16, 16, 4, seed=3)
-        q = data.augment(p, "scale0.75")
+        q = data.bilinear_scale(p, 0.75)
         assert q.min() >= p.min() - 1e-6 and q.max() <= p.max() + 1e-6
 
     def test_bilinear_constant_preserved(self):
