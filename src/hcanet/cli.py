@@ -7,7 +7,9 @@ outputs writes a RunManifest beside them, canonical JSON with enough
 configuration (and input hashes) to reproduce the artifacts bit-for-bit.
 
 Config precedence for `train`: command-line flags > --config file sections
-("train", "network", "noise", "loss") > built-in defaults.
+("train", "network", "noise") > built-in defaults.  The noise-case ranges,
+the Adam constants, the gradient clip and the loss weight are module
+constants of `noise`, `train` and `loss`, not settings.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import DatasetManifest, PatchDataset, load_cube, save_cube
+from .data import ROTATIONS, DatasetManifest, PatchDataset, load_cube, save_cube
 from .errors import (
     ConfigError,
     ContractError,
@@ -32,25 +34,24 @@ from .errors import (
     ShapeError,
 )
 from .gradcheck import PRESETS
-from .loss import LossConfig
 from .metrics import evaluate
 from .network import HcaNet, NetworkConfig, desk_config
-from .noise import NoiseSpec, apply_noise
+from .noise import COLUMN_KINDS, MIN_COLUMNS, NoiseSpec, apply_noise
 from .train import TrainConfig, train
 
 EXIT_CODES = {"ok": 0, "config": 2, "io": 3, "numerics": 4}
 
-# case token -> (NoiseSpec kind, fixed sigma or None)
+# case token -> the NoiseSpec fields it sets (all but the seed)
 CASE_TOKENS = {
-    "g30": ("gaussian", 30.0),
-    "g50": ("gaussian", 50.0),
-    "g70": ("gaussian", 70.0),
-    "blind": ("blind", None),
-    "case1": ("case1", None),
-    "case2": ("case2", None),
-    "case3": ("case3", None),
-    "case4": ("case4", None),
-    "case5": ("case5", None),
+    "g30": {"kind": "gaussian", "sigma": 30.0},
+    "g50": {"kind": "gaussian", "sigma": 50.0},
+    "g70": {"kind": "gaussian", "sigma": 70.0},
+    "blind": {"kind": "blind"},
+    "case1": {"kind": "case1"},
+    "case2": {"kind": "case2"},
+    "case3": {"kind": "case3"},
+    "case4": {"kind": "case4"},
+    "case5": {"kind": "case5"},
 }
 
 
@@ -87,19 +88,12 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _spec_for(case: str, seed: int) -> NoiseSpec:
-    kind, sigma = CASE_TOKENS[case]
-    if sigma is None:
-        return NoiseSpec(kind=kind, seed=seed)
-    return NoiseSpec(kind=kind, seed=seed, sigma=sigma)
-
-
 # -- simulate ---------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
     cube = load_cube(args.input)
-    spec = _spec_for(args.case, args.seed)
+    spec = NoiseSpec(seed=args.seed, **CASE_TOKENS[args.case])
     noisy, report = apply_noise(cube, spec)
     save_cube(noisy, args.out)
     report_path = args.report or args.out + ".report.json"
@@ -138,7 +132,7 @@ def _load_sections(path) -> dict:
             raise FormatError(f"{path}: bad JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object of config sections")
-    known = {"train", "network", "noise", "loss"}
+    known = {"train", "network", "noise"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}, expected among {sorted(known)}")
@@ -186,15 +180,16 @@ def cmd_train(args) -> int:
 
     nz = dict(sections.get("noise", {}))
     if args.case is not None:
-        kind, sigma = CASE_TOKENS[args.case]
-        nz["kind"] = kind
-        if sigma is not None:
-            nz["sigma"] = sigma
+        nz.update(CASE_TOKENS[args.case])
     nz.setdefault("kind", "blind")
     nz.setdefault("seed", train_cfg.seed)
     noise_spec = _build(NoiseSpec, nz, "noise")
-
-    loss_cfg = _build(LossConfig, dict(sections.get("loss", {})), "loss")
+    # rot90 and rot270 turn a patch's rows into the columns the noise sees
+    width = min(data_manifest.patch_size[1 - ROTATIONS.index(r) % 2] for r in data_manifest.rotations)
+    if noise_spec.kind in COLUMN_KINDS and width < MIN_COLUMNS:
+        raise ConfigError(
+            f"noise {noise_spec.kind} needs patches at least {MIN_COLUMNS} columns wide, got {width}"
+        )
 
     net = HcaNet(net_cfg, seed=train_cfg.seed)
     print(
@@ -202,14 +197,13 @@ def cmd_train(args) -> int:
         f"{train_cfg.epochs} epochs, noise={noise_spec.kind}",
         file=sys.stderr,
     )
-    result = train(train_cfg, dataset, noise_spec, net, out_dir=args.out, loss_cfg=loss_cfg)
+    result = train(train_cfg, dataset, noise_spec, net, out_dir=args.out)
     best = result.best_path if result.best_epoch >= 0 else None  # written only when validation ran
 
     manifest_path = os.path.join(args.out, "manifest.json")
     RunManifest(
         "train",
         configs={
-            "loss": dataclasses.asdict(loss_cfg),
             "network": json.loads(net_cfg.to_json()),
             "noise": json.loads(noise_spec.to_json()),
             "train": json.loads(train_cfg.to_json()),
@@ -332,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     t = sub.add_parser("train", help="train a denoiser on a patch dataset")
-    t.add_argument("--config", default=None, help="JSON file with train/network/noise/loss sections")
+    t.add_argument("--config", default=None, help="JSON file with train/network/noise sections")
     t.add_argument("--data", required=True, help="dataset manifest JSON")
     t.add_argument("--out", required=True, help="output directory")
     t.add_argument("--case", default=None, choices=sorted(CASE_TOKENS), help="training noise (default blind)")

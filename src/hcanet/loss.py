@@ -2,8 +2,9 @@
 
 The regularizer compares forward differences of prediction and target along
 the horizontal, vertical, and spectral axes and averages the squared
-mismatch per axis (mean, not sum, so the default weight 0.01 is comparable
-across patch sizes).  Forward differences drop the last slice; no padding.
+mismatch per axis (mean, not sum, so the paper's fixed weight
+``LAMBDA_GRAD`` = 0.01 is comparable across patch sizes).  Forward
+differences drop the last slice; no padding.
 
 Axis convention: a 3-D array is a cube (H, W, B) with vertical=0,
 horizontal=1, spectral=2; a 4-D array is a batch (N, C, H, W) with
@@ -13,21 +14,13 @@ spectral=1, vertical=2, horizontal=3.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor, abs_, add, mean_all, mul_elementwise, scale, slice_, sub, sum_all
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    lambda_grad: float = 0.01
-
-    def __post_init__(self):
-        if self.lambda_grad < 0:
-            raise ConfigError(f"lambda_grad must be nonnegative, got {self.lambda_grad}")
+LAMBDA_GRAD = 0.01  # weight of the gradient-domain term
 
 
 def _as_tensor(x) -> Tensor:
@@ -82,9 +75,6 @@ def grad_reg(pred, target) -> Tensor:
     return total
 
 
-def total_loss(pred, target, cfg: LossConfig = LossConfig()) -> Tensor:
-    """L = l1_rec + lambda * grad_reg, differentiable end to end."""
-    rec = l1_rec(pred, target)
-    if cfg.lambda_grad == 0.0:
-        return rec
-    return add(rec, scale(grad_reg(pred, target), cfg.lambda_grad))
+def total_loss(pred, target) -> Tensor:
+    """L = l1_rec + LAMBDA_GRAD * grad_reg, differentiable end to end."""
+    return add(l1_rec(pred, target), scale(grad_reg(pred, target), LAMBDA_GRAD))

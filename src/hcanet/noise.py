@@ -16,7 +16,9 @@ band index 0xFFFFFFFF.
 
 Cubes are (H, W, B) float32; stripes, deadlines, and impulse noise afflict
 ceil(B/3) randomly chosen bands (cases 2-4) or a per-band coin-flip subset of
-the three types (case 5).
+the three types (case 5).  The ranges the cases draw from are the fixed
+module constants below; a ``NoiseSpec`` chooses only the kind, the seed and
+the fixed Gaussian sigma.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ _TAG_CASE5 = 7  # per-band subset coin flips
 
 KINDS = ("gaussian", "blind", "case1", "case2", "case3", "case4", "case5")
 
+SIGMA_MIN, SIGMA_MAX = 30.0, 70.0  # blind and non-i.i.d. Gaussian sigma range
+STRIPE_FRAC_MIN, STRIPE_FRAC_MAX = 0.05, 0.15  # fraction of a band's columns
+STRIPE_AMPLITUDE = 0.25  # stripe offsets ~ U[-amplitude, amplitude]
+DEADLINE_FRAC_MIN, DEADLINE_FRAC_MAX = 0.05, 0.15
+IMPULSE_MIN, IMPULSE_MAX = 0.3, 0.7  # salt-and-pepper density range
+MIN_COLUMNS = 20  # narrowest band that stripe and deadline noise accept
+COLUMN_KINDS = ("case2", "case3", "case5")  # kinds that may add stripes or deadlines
+
 
 def _stream(seed: int, tag: int, band: int = BAND_NONE) -> np.random.Generator:
     seed, tag, band = int(seed), int(tag), int(band)
@@ -54,36 +64,18 @@ class NoiseSpec:
     kind: str
     seed: int
     sigma: float = 70.0  # kind == "gaussian" only
-    sigma_min: float = 30.0
-    sigma_max: float = 70.0
-    stripe_frac_min: float = 0.05
-    stripe_frac_max: float = 0.15
-    stripe_amplitude: float = 0.25
-    deadline_frac_min: float = 0.05
-    deadline_frac_max: float = 0.15
-    impulse_min: float = 0.3
-    impulse_max: float = 0.7
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}, expected one of {KINDS}")
+        # _stream would truncate a float seed while the manifest records it whole
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"noise seed must be an integer, got {self.seed!r}")
         if not 0 < self.sigma <= 255:
             raise ConfigError(f"sigma must be in (0, 255], got {self.sigma}")
-        for lo, hi, what in [
-            (self.sigma_min, self.sigma_max, "sigma"),
-            (self.stripe_frac_min, self.stripe_frac_max, "stripe fraction"),
-            (self.deadline_frac_min, self.deadline_frac_max, "deadline fraction"),
-            (self.impulse_min, self.impulse_max, "impulse density"),
-        ]:
-            if lo > hi or lo < 0:
-                raise ConfigError(f"bad {what} range [{lo}, {hi}]")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "NoiseSpec":
-        return NoiseSpec(**json.loads(text))
 
 
 @dataclass
@@ -156,15 +148,11 @@ def add_gaussian(x: np.ndarray, sigma: float, seed: int) -> tuple[np.ndarray, De
     return y, report
 
 
-def add_noniid_gaussian(
-    x: np.ndarray, seed: int, sigma_min: float = 30.0, sigma_max: float = 70.0
-) -> tuple[np.ndarray, DegradationReport]:
-    """Independent per-band sigma_b ~ U[sigma_min, sigma_max]."""
-    if sigma_min > sigma_max:
-        raise ConfigError(f"sigma_min {sigma_min} > sigma_max {sigma_max}")
+def add_noniid_gaussian(x: np.ndarray, seed: int) -> tuple[np.ndarray, DegradationReport]:
+    """Independent per-band sigma_b ~ U[SIGMA_MIN, SIGMA_MAX]."""
     y = _check_cube(x)
     b = y.shape[2]
-    sigmas = _stream(seed, _TAG_SIGMA).uniform(sigma_min, sigma_max, size=b)
+    sigmas = _stream(seed, _TAG_SIGMA).uniform(SIGMA_MIN, SIGMA_MAX, size=b)
     entries = []
     for band in range(b):
         g = _stream(seed, _TAG_NONIID, band)
@@ -176,28 +164,28 @@ def add_noniid_gaussian(
 # -- band noises ----------------------------------------------------------------
 
 
-def _stripe_band(y: np.ndarray, band: int, spec: NoiseSpec) -> StripeEntry:
+def _stripe_band(y: np.ndarray, band: int, seed: int) -> StripeEntry:
     """Additive constant-per-column stripes on a fraction of the band's columns."""
     w = y.shape[1]
-    if w < 20:
-        raise ContractError(f"stripe noise needs width >= 20 columns, got {w}")
-    lo, hi = spec.stripe_frac_min, spec.stripe_frac_max
-    st = _stream(spec.seed, _TAG_STRIPE, band)
+    if w < MIN_COLUMNS:
+        raise ContractError(f"stripe noise needs width >= {MIN_COLUMNS} columns, got {w}")
+    lo, hi = STRIPE_FRAC_MIN, STRIPE_FRAC_MAX
+    st = _stream(seed, _TAG_STRIPE, band)
     n = _column_count(st.uniform(lo, hi), w, lo, hi)
     cols = np.sort(st.choice(w, size=n, replace=False))
-    offsets = st.uniform(-spec.stripe_amplitude, spec.stripe_amplitude, size=n).astype(np.float32)
+    offsets = st.uniform(-STRIPE_AMPLITUDE, STRIPE_AMPLITUDE, size=n).astype(np.float32)
     y[:, cols, band] += offsets
     return StripeEntry(band=int(band), fraction=n / w,
                        columns=[int(c) for c in cols], offsets=[float(o) for o in offsets])
 
 
-def _deadline_band(y: np.ndarray, band: int, spec: NoiseSpec) -> DeadlineEntry:
+def _deadline_band(y: np.ndarray, band: int, seed: int) -> DeadlineEntry:
     """Zeroed runs of 1-3 adjacent columns on a fraction of the band's columns."""
     w = y.shape[1]
-    if w < 20:
-        raise ContractError(f"deadline noise needs width >= 20 columns, got {w}")
-    lo, hi = spec.deadline_frac_min, spec.deadline_frac_max
-    st = _stream(spec.seed, _TAG_DEADLINE, band)
+    if w < MIN_COLUMNS:
+        raise ContractError(f"deadline noise needs width >= {MIN_COLUMNS} columns, got {w}")
+    lo, hi = DEADLINE_FRAC_MIN, DEADLINE_FRAC_MAX
+    st = _stream(seed, _TAG_DEADLINE, band)
     n = _column_count(st.uniform(lo, hi), w, lo, hi)
     # runs placed without overlap, totalling n columns
     free = np.ones(w, dtype=bool)
@@ -219,10 +207,10 @@ def _deadline_band(y: np.ndarray, band: int, spec: NoiseSpec) -> DeadlineEntry:
     return DeadlineEntry(band=int(band), fraction=n / w, columns=[int(c) for c in cols])
 
 
-def _impulse_band(y: np.ndarray, band: int, spec: NoiseSpec) -> ImpulseEntry:
-    """Salt-and-pepper with density p ~ U[impulse_min, impulse_max]."""
-    st = _stream(spec.seed, _TAG_IMPULSE, band)
-    p = st.uniform(spec.impulse_min, spec.impulse_max)
+def _impulse_band(y: np.ndarray, band: int, seed: int) -> ImpulseEntry:
+    """Salt-and-pepper with density p ~ U[IMPULSE_MIN, IMPULSE_MAX]."""
+    st = _stream(seed, _TAG_IMPULSE, band)
+    p = st.uniform(IMPULSE_MIN, IMPULSE_MAX)
     mask = st.random(y.shape[:2]) < p
     salt = st.random(y.shape[:2]) < 0.5
     plane = y[:, :, band]
@@ -251,11 +239,11 @@ def apply_noise(x: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, Degradation
     if spec.kind == "gaussian":
         return add_gaussian(x, spec.sigma, spec.seed)
     if spec.kind == "blind":
-        sigma = float(_stream(spec.seed, _TAG_SIGMA).uniform(spec.sigma_min, spec.sigma_max))
+        sigma = float(_stream(spec.seed, _TAG_SIGMA).uniform(SIGMA_MIN, SIGMA_MAX))
         y, report = add_gaussian(x, sigma, spec.seed)
         report.kind = "blind"
         return y, report
-    y, report = add_noniid_gaussian(x, spec.seed, spec.sigma_min, spec.sigma_max)
+    y, report = add_noniid_gaussian(x, spec.seed)
     report.kind = spec.kind
     b = y.shape[2]
     case = int(spec.kind[-1])
@@ -269,5 +257,5 @@ def apply_noise(x: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, Degradation
     for band in range(b):
         for (entries, _, band_noise), on in zip(_BAND_NOISES, enabled[band]):
             if on:
-                getattr(report, entries).append(band_noise(y, band, spec))
+                getattr(report, entries).append(band_noise(y, band, spec.seed))
     return y, report

@@ -7,8 +7,12 @@ sample order.
 
 Per-sample noise seeds mix (spec seed, train seed, epoch, sample index)
 through a fixed polynomial so no two draws share a Philox stream.  Validation
-pairs are noised once with the dedicated validation seed and reused at every
-epoch, so the validation curve measures the model, not the noise.
+pairs are noised once with the dedicated seed ``VAL_NOISE_SEED`` and reused at
+every epoch, so the validation curve measures the model, not the noise.
+
+The Adam constants, the global-norm clip and the validation noise seed are
+fixed module constants; a ``TrainConfig`` chooses only the schedule and the
+seed.
 """
 
 from __future__ import annotations
@@ -23,13 +27,17 @@ import numpy as np
 
 from .data import PatchDataset
 from .errors import ConfigError, NumericsError
-from .loss import LossConfig, total_loss
+from .loss import total_loss
 from .metrics import evaluate
 from .network import HcaNet
 from .noise import NoiseSpec, apply_noise
 from .tensor import Tensor
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam
+GRAD_CLIP = 1.0  # cap on the global gradient L2 norm
+VAL_NOISE_SEED = 101
 
 
 @dataclass(frozen=True)
@@ -38,44 +46,21 @@ class TrainConfig:
     batch_size: int = 8
     lr0: float = 1e-4
     lr_final: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float = 1.0  # global-norm cap; 0 disables (paper-literal mode)
     seed: int = 0
-    val_noise_seed: int = 101
-    checkpoint_every: int = 1
 
     def __post_init__(self):
-        counts = (self.epochs, self.batch_size, self.seed, self.val_noise_seed, self.checkpoint_every)
         # a float count would fail only after the network is built
-        if not all(isinstance(v, int) for v in counts):
-            raise ConfigError(f"epochs, batch_size, seeds and checkpoint_every must be integers, got {self}")
+        if not all(isinstance(v, int) for v in (self.epochs, self.batch_size, self.seed)):
+            raise ConfigError(f"epochs, batch_size and seed must be integers, got {self}")
         if self.epochs <= 0:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if not self.lr0 > self.lr_final > 0:
             raise ConfigError(f"need lr0 > lr_final > 0, got lr0={self.lr0}, lr_final={self.lr_final}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 < b < 1:
-                raise ConfigError(f"{name} must be in (0, 1), got {b}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.grad_clip < 0:
-            raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
-        if self.checkpoint_every < 1:
-            raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "TrainConfig":
-        try:
-            return TrainConfig(**json.loads(text))
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad TrainConfig JSON: {e}") from e
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -105,25 +90,16 @@ def init_optimizer(params: dict[str, Tensor]) -> OptimizerState:
     )
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-    lr: float,
-    *,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """Bias-corrected Adam update, in place on the parameter tensors."""
+def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimizerState, lr: float) -> None:
+    """Bias-corrected Adam update with BETA1, BETA2 and EPS, in place on the parameter tensors."""
     if lr <= 0:
         raise ConfigError(f"lr must be positive, got {lr}")
     state.step += 1
     t = state.step
-    c1 = np.float32(1.0 / (1.0 - beta1**t))
-    c2 = np.float32(1.0 / (1.0 - beta2**t))
-    b1, b2 = np.float32(beta1), np.float32(beta2)
-    lr32, eps32 = np.float32(lr), np.float32(eps)
+    c1 = np.float32(1.0 / (1.0 - BETA1**t))
+    c2 = np.float32(1.0 / (1.0 - BETA2**t))
+    b1, b2 = np.float32(BETA1), np.float32(BETA2)
+    lr32, eps32 = np.float32(lr), np.float32(EPS)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
@@ -140,12 +116,12 @@ def adam_step(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm (0 disables); returns the pre-clip norm."""
+    """Scale all gradients so the global L2 norm is at most max_norm; returns the pre-clip norm."""
     sq = 0.0
     for g in grads.values():
         sq += float(np.sum(np.square(g, dtype=np.float64)))
     norm = math.sqrt(sq)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         s = np.float32(max_norm / norm)
         for g in grads.values():
             g *= s
@@ -208,22 +184,20 @@ def train(
     noise_spec: NoiseSpec,
     net: HcaNet,
     out_dir: str | None = None,
-    loss_cfg: LossConfig = LossConfig(),
 ) -> TrainResult:
     """Optimize net on noisy/clean patch pairs; returns the epoch history.
 
     Each epoch's record holds its loss, learning rate, the mean and maximum of
     its steps' pre-clip gradient norms and how many steps were clipped, plus
     validation metrics when there is a validation split.  With out_dir set,
-    writes log.jsonl (one record per epoch), last.hcaw at the
-    checkpoint cadence, and best.hcaw whenever validation PSNR improves.  A
-    non-finite loss or gradient aborts the run; checkpoints already on disk are
-    left in place.
+    writes log.jsonl (one record per epoch), last.hcaw after every epoch, and
+    best.hcaw whenever validation PSNR improves.  A non-finite loss or gradient
+    aborts the run; checkpoints already on disk are left in place.
     """
     train_idx, val_idx = dataset.split_indices()
     if not train_idx:
         raise ConfigError("training split is empty")
-    val_items = [(i, _mix(noise_spec.seed, cfg.val_noise_seed, rank)) for rank, i in enumerate(val_idx)]
+    val_items = [(i, _mix(noise_spec.seed, VAL_NOISE_SEED, rank)) for rank, i in enumerate(val_idx)]
     val_pairs = _assemble(dataset, val_items, noise_spec)
     noisy_psnr = None
     if val_pairs:
@@ -251,7 +225,7 @@ def train(
                 items = [(i, _mix(noise_spec.seed, cfg.seed, epoch, i)) for i in chunk]
                 clean, noisy = _to_batch(_assemble(dataset, items, noise_spec))
                 pred = net.denoise_batch(Tensor(noisy))
-                loss = total_loss(pred, Tensor(clean), loss_cfg)
+                loss = total_loss(pred, Tensor(clean))
                 lval = float(loss.data)
                 if not math.isfinite(lval):
                     raise NumericsError(
@@ -265,13 +239,13 @@ def train(
                 }
                 for p in params.values():
                     p.grad = None
-                norms.append(clip_gradients(grads, cfg.grad_clip))
+                norms.append(clip_gradients(grads, GRAD_CLIP))
                 if not math.isfinite(norms[-1]):
                     raise NumericsError(
                         f"gradient norm is not finite at epoch {epoch}, sample offset {start}; "
                         "checkpoints on disk are preserved"
                     )
-                adam_step(params, grads, state, lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+                adam_step(params, grads, state, lr)
                 loss_sum += lval * len(chunk)
                 seen += len(chunk)
 
@@ -282,7 +256,7 @@ def train(
                 # pre-clip global gradient norms of the epoch's steps
                 "grad_norm_mean": sum(norms) / len(norms),
                 "grad_norm_max": max(norms),
-                "clip_events": sum(cfg.grad_clip > 0 and n > cfg.grad_clip for n in norms),
+                "clip_events": sum(n > GRAD_CLIP for n in norms),
             }
             if val_pairs:
                 vp, vs, va = _validate(net, val_pairs)
@@ -296,7 +270,7 @@ def train(
             if log_file is not None:
                 log_file.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
                 log_file.flush()
-            if out_dir is not None and ((epoch + 1) % cfg.checkpoint_every == 0 or epoch == cfg.epochs - 1):
+            if out_dir is not None:
                 net.save(result.last_path)
     finally:
         if log_file is not None:

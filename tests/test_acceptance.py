@@ -16,7 +16,7 @@ import pytest
 from hcanet.cafm import attention_map
 from hcanet.data import DatasetManifest, PatchDataset, save_cube, synthetic_cube
 from hcanet.gradcheck import PRESETS
-from hcanet.loss import LossConfig, grad_reg, l1_rec, total_loss
+from hcanet.loss import grad_reg, l1_rec, total_loss
 from hcanet.metrics import psnr, sam, ssim
 from hcanet.network import HcaNet, NetworkConfig, desk_config, paper_config
 from hcanet.noise import NoiseSpec, add_gaussian, apply_noise
@@ -29,7 +29,8 @@ NOISE_CASES = ("case1", "case2", "case3", "case4", "case5")
 ROTATIONS = ("identity", "rot90", "rot180", "rot270")
 
 # Toy-run recipe, calibrated once on a single core: 8 epochs at batch 4 reach
-# about +6.3 dB over the noisy baseline in under two minutes.
+# about +5.5 dB over the noisy baseline (criterion 07 asks for +5.0) in under
+# two minutes.
 TOY_TRAIN = TrainConfig(epochs=8, batch_size=4, lr0=3e-3, lr_final=1e-5, seed=3)
 TOY_NOISE = NoiseSpec(kind="gaussian", seed=11, sigma=30.0)
 
@@ -132,7 +133,7 @@ def test_criterion_04_loss_oracles_and_composition():
     pred2, target2 = Tensor(ramp), Tensor(np.zeros((2, 2, 2)))
     assert float(grad_reg(pred2, target2).data) == pytest.approx(1.0, abs=1e-6)
 
-    total = total_loss(pred2, target2, LossConfig(lambda_grad=0.01))
+    total = total_loss(pred2, target2)  # the paper's weight, 0.01
     assert float(total.data) == pytest.approx(0.5 + 0.01 * 1.0, abs=1e-6)
 
 

@@ -367,7 +367,11 @@ def test_train_unknown_section_exits_2(tmp_path, capsys):
     ("network", "blocks_per_level", 5, 2),
     ("train", "epochs", 1.5, 2),
     ("train", "batch_size", 1.5, 2),
-], ids=["noise_list", "train_string", "blocks_int", "float_epochs", "float_batch_size"])
+    ("train", "beta1", 0.9, 2),  # the Adam constants are not settings
+    ("loss", None, {"lambda_grad": 0.01}, 2),  # nor is the loss weight
+    ("noise", "seed", 1.5, 2),
+], ids=["noise_list", "train_string", "blocks_int", "float_epochs", "float_batch_size",
+        "removed_train_key", "loss_section", "float_noise_seed"])
 def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, key, value, code):
     data_path, config_path = train_fixture(tmp_path)
     cfg = json.load(open(config_path, encoding="utf-8"))
@@ -380,6 +384,21 @@ def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, 
     assert main(["train", "--config", config_path, "--data", data_path, "--out", str(tmp_path / "r")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and (key or section) in err
+
+
+@pytest.mark.parametrize("patch_size, rotations", [
+    ((16, 16, 4), ("identity",)),  # 16 columns; stripes need 20
+    ((16, 24, 4), ("identity", "rot90")),  # rot90 turns the 16 rows into columns
+], ids=["narrow", "narrow_when_rotated"])
+def test_train_narrow_patches_fail_before_the_network_is_built(tmp_path, capsys, patch_size, rotations):
+    cube = write_cube(tmp_path, "train.hsic", h=24, w=24, b=4, seed=3)
+    data_path = str(tmp_path / "data.json")
+    DatasetManifest(cubes=(cube,), patch_size=patch_size, scales=(1.0,), rotations=rotations,
+                    samples=8, seed=5).save(data_path)
+    out = str(tmp_path / "r")
+    assert main(["train", "--data", data_path, "--out", out, "--case", "case2", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "20 columns" in err and "training:" not in err
 
 
 def test_train_missing_data_exits_3(tmp_path, capsys):

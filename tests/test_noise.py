@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -70,9 +71,11 @@ class TestNonIidGaussian:
             got = y[:, :, e.band].std()
             assert abs(got - e.sigma / 255) / (e.sigma / 255) < 0.05
 
-    def test_degenerate_interval(self):
+    def test_degenerate_interval(self, monkeypatch):
+        monkeypatch.setattr(noise, "SIGMA_MIN", 50.0)
+        monkeypatch.setattr(noise, "SIGMA_MAX", 50.0)
         x = np.zeros((64, 64, 5), dtype=np.float32)
-        y, rep = noise.add_noniid_gaussian(x, seed=4, sigma_min=50, sigma_max=50)
+        y, rep = noise.add_noniid_gaussian(x, seed=4)
         assert all(e.sigma == 50.0 for e in rep.gaussian)
         assert abs(y.std() - 50 / 255) / (50 / 255) < 0.05
 
@@ -211,8 +214,9 @@ class TestCases:
 
 class TestSpecAndDispatch:
     def test_spec_json_roundtrip(self):
-        spec = noise.NoiseSpec(kind="case2", seed=42, sigma_min=40)
-        assert noise.NoiseSpec.from_json(spec.to_json()) == spec
+        # a manifest's "noise" section is a valid --config section
+        spec = noise.NoiseSpec(kind="case2", seed=42, sigma=40.0)
+        assert noise.NoiseSpec(**json.loads(spec.to_json())) == spec
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
