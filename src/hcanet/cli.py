@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import ROTATIONS, DatasetManifest, PatchDataset, load_cube, save_cube
+from .data import DatasetManifest, PatchDataset, load_cube, save_cube
 from .errors import (
     ConfigError,
     ContractError,
@@ -184,8 +184,7 @@ def cmd_train(args) -> int:
     nz.setdefault("kind", "blind")
     nz.setdefault("seed", train_cfg.seed)
     noise_spec = _build(NoiseSpec, nz, "noise")
-    # rot90 and rot270 turn a patch's rows into the columns the noise sees
-    width = min(data_manifest.patch_size[1 - ROTATIONS.index(r) % 2] for r in data_manifest.rotations)
+    width = data_manifest.patch_size[1]  # a patch that may turn a quarter is square
     if noise_spec.kind in COLUMN_KINDS and width < MIN_COLUMNS:
         raise ConfigError(
             f"noise {noise_spec.kind} needs patches at least {MIN_COLUMNS} columns wide, got {width}"

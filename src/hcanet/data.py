@@ -119,10 +119,15 @@ class DatasetManifest:
             raise ConfigError("manifest lists no cubes")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if any(r not in ROTATIONS for r in self.rotations):
-            raise ConfigError(f"rotations must be among {ROTATIONS}")
-        if any(s <= 0 or s > 1 for s in self.scales):
-            raise ConfigError("scale factors must be in (0, 1]")
+        if not self.rotations or any(r not in ROTATIONS for r in self.rotations):
+            raise ConfigError(f"rotations must be a non-empty selection from {ROTATIONS}")
+        if not self.scales or any(s <= 0 or s > 1 for s in self.scales):
+            raise ConfigError("scales must be a non-empty list of factors in (0, 1]")
+        ph, pw = self.patch_size[:2]
+        turned = sorted(set(self.rotations) & {"rot90", "rot270"})
+        if ph != pw and turned:
+            # a quarter turn swaps the patch's rows and columns, so one batch would mix two shapes
+            raise ConfigError(f"rotations {turned} need a square patch, got {ph}x{pw}")
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -4,9 +4,11 @@ PSNR is computed per band against a data range of 1.0 and averaged over
 bands (the MPSNR convention); a zero-MSE band contributes the documented cap
 of 100 dB.  SSIM uses the standard 11x11 Gaussian window (sigma 1.5,
 K1=0.01, K2=0.03, L=1) per band over valid windows only, then averages.  The
-window is separable, so each windowed mean is two 1-D passes of the
-normalized 11-tap Gaussian (along H, then along W), each cropped to the valid
-windows; this equals the 2-D windowed sum up to float64 rounding.
+window is separable, so the windowed means are two matrix products with
+banded matrices that hold the normalized 11-tap Gaussian at every valid
+offset, Gh @ map @ Gw^T, taken in blocks of rows so that little of the work
+multiplies the band's zeros; this equals the 2-D windowed sum up to float64
+rounding.
 SAM is the mean per-pixel spectral angle in radians; zero-norm pixels are
 skipped and counted.  All computation is float64.
 """
@@ -25,6 +27,10 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+# outputs per block of a banded GEMM: a block multiplies a (32, 42) slice of
+# the band, so 42/11 of its flops are needed ones instead of n/11 for the
+# whole (n - 10, n) band
+_BAND_BLOCK = 32
 
 
 @dataclass
@@ -70,14 +76,39 @@ def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
     return g / g.sum()
 
 
-def _windowed_mean(img: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Weighted mean over every valid len(g) x len(g) window of a 2-D image."""
-    # imported on first use, so that importing the package does not pay for scipy.ndimage
-    from scipy.ndimage import correlate1d
+def _band_matrix(n: int, g: np.ndarray) -> np.ndarray:
+    """(n - len(g) + 1, n) matrix whose row i holds g at columns i .. i + len(g) - 1."""
+    rows = np.arange(n - len(g) + 1)[:, None]
+    m = np.zeros((len(rows), n))
+    m[rows, rows + np.arange(len(g))] = g
+    return m
 
-    r = len(g) // 2  # odd window: crop r outputs at each end to keep windows wholly inside
-    rows = correlate1d(img, g, axis=0, mode="constant")[r:-r]
-    return correlate1d(rows, g, axis=1, mode="constant")[:, r:-r]
+
+def _band_pass(x: np.ndarray, band: np.ndarray, out: np.ndarray) -> None:
+    """out = G @ x for the banded G of the window in ``band``, block by block.
+
+    ``band`` is ``_band_matrix(_BAND_BLOCK + len(g) - 1, g)``; block i of
+    the output rows needs only x's rows under its slice of the band.
+    """
+    k = band.shape[1] - band.shape[0]  # len(g) - 1
+    for lo in range(0, len(out), _BAND_BLOCK):
+        n = min(_BAND_BLOCK, len(out) - lo)
+        np.matmul(band[:n, : n + k], x[lo : lo + n + k], out=out[lo : lo + n])
+
+
+def _windowed_mean(maps: np.ndarray, band: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Weighted mean over every valid window of a stack of 2-D maps, written to ``out``.
+
+    maps: (H, M, W), M maps side by side; ``band`` is the window's
+    ``_band_matrix(_BAND_BLOCK + len(g) - 1, g)``.  Gh @ map @ Gw^T for all M
+    maps at once: the pass along H goes into ``rows`` (H', M*W), the pass
+    along W, the same on the transposed views, into ``out`` (H', M, W').  The
+    caller keeps both buffers from band to band.
+    """
+    h, m, w = maps.shape
+    _band_pass(maps.reshape(h, m * w), band, rows)
+    _band_pass(rows.reshape(-1, w).T, band, out.reshape(-1, out.shape[2]).T)
+    return out
 
 
 def ssim_per_band(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -85,16 +116,21 @@ def ssim_per_band(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
     h, w, b = pred.shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ConfigError(f"ssim needs spatial extents >= {SSIM_WINDOW}, got {h}x{w}")
-    win = _gaussian_window()
+    band_matrix = _band_matrix(_BAND_BLOCK + SSIM_WINDOW - 1, _gaussian_window())
     c1, c2 = SSIM_K1**2, SSIM_K2**2  # L = 1
+    hv, wv = h - SSIM_WINDOW + 1, w - SSIM_WINDOW + 1  # valid windows
+    maps, rows, means = np.empty((h, 5, w)), np.empty((hv, 5 * w)), np.empty((hv, 5, wv))
     out = np.empty(b)
+    p, r = maps[:, 0], maps[:, 1]
     for band in range(b):
-        p, r = pred[:, :, band], ref[:, :, band]
-        mu_p = _windowed_mean(p, win)
-        mu_r = _windowed_mean(r, win)
-        var_p = _windowed_mean(p * p, win) - mu_p**2
-        var_r = _windowed_mean(r * r, win) - mu_r**2
-        cov = _windowed_mean(p * r, win) - mu_p * mu_r
+        p[...], r[...] = pred[:, :, band], ref[:, :, band]  # the strided reads, once
+        np.multiply(p, p, out=maps[:, 2])
+        np.multiply(r, r, out=maps[:, 3])
+        np.multiply(p, r, out=maps[:, 4])
+        mu_p, mu_r, e_pp, e_rr, e_pr = np.moveaxis(_windowed_mean(maps, band_matrix, rows, means), 1, 0)
+        var_p = e_pp - mu_p**2
+        var_r = e_rr - mu_r**2
+        cov = e_pr - mu_p * mu_r
         num = (2 * mu_p * mu_r + c1) * (2 * cov + c2)
         den = (mu_p**2 + mu_r**2 + c1) * (var_p + var_r + c2)
         out[band] = np.mean(num / den)

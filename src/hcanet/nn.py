@@ -49,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, permute, reshape
+from .tensor import _CHUNK, Tensor, permute, reshape
 
 # -- weight containers -------------------------------------------------------
 
@@ -141,11 +141,6 @@ def init_layer_norm(c: int) -> LayerNormWeights:
 
 
 # -- conv2d ---------------------------------------------------------------------
-
-
-# elements per tile of the per-channel tap loops: a tile and its product
-# buffer stay in cache while every tap passes over them
-_CHUNK = 1 << 16
 
 
 def _out_extent(n: int, k: int, stride: int, pad: int, dil: int) -> int:

@@ -388,8 +388,7 @@ def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, 
 
 @pytest.mark.parametrize("patch_size, rotations", [
     ((16, 16, 4), ("identity",)),  # 16 columns; stripes need 20
-    ((16, 24, 4), ("identity", "rot90")),  # rot90 turns the 16 rows into columns
-], ids=["narrow", "narrow_when_rotated"])
+], ids=["narrow"])
 def test_train_narrow_patches_fail_before_the_network_is_built(tmp_path, capsys, patch_size, rotations):
     cube = write_cube(tmp_path, "train.hsic", h=24, w=24, b=4, seed=3)
     data_path = str(tmp_path / "data.json")
@@ -399,6 +398,36 @@ def test_train_narrow_patches_fail_before_the_network_is_built(tmp_path, capsys,
     assert main(["train", "--data", data_path, "--out", out, "--case", "case2", "--epochs", "1"]) == 2
     err = capsys.readouterr().err
     assert "20 columns" in err and "training:" not in err
+
+
+def write_manifest(tmp_path, **fields):
+    # written by hand: DatasetManifest itself refuses the values these tests feed the CLI
+    cube = write_cube(tmp_path, "train.hsic", h=40, w=40, b=4, seed=3)
+    doc = {"cubes": [cube], "patch_size": [16, 16, 4], "scales": [1.0], "rotations": ["identity"],
+           "samples": 8, "seed": 5, "val_fraction": 0.0}
+    doc.update(fields)
+    path = str(tmp_path / "data.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    return path
+
+
+@pytest.mark.parametrize("field", ["rotations", "scales"])
+def test_train_empty_augmentation_list_exits_2(tmp_path, capsys, field):
+    data_path = write_manifest(tmp_path, **{field: []})
+    assert main(["train", "--data", data_path, "--out", str(tmp_path / "r"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "training:" not in err
+
+
+def test_train_non_square_patch_with_rotation_exits_2(tmp_path, capsys):
+    # a quarter turn of a 24x32 patch is 32x24, and the batch could not be stacked
+    data_path = write_manifest(tmp_path, patch_size=[24, 32, 4], rotations=["identity", "rot90"])
+    out = str(tmp_path / "r")
+    assert main(["train", "--data", data_path, "--out", out, "--case", "g30", "--batch-size", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "square" in err and "training:" not in err
+    assert not os.path.exists(os.path.join(out, "log.jsonl"))
 
 
 def test_train_missing_data_exits_3(tmp_path, capsys):
@@ -427,16 +456,48 @@ def test_version_flag(capsys):
     assert "hcanet" in capsys.readouterr().out
 
 
-def test_import_loads_no_scipy_submodule():
-    # scipy.special (GELU) and scipy.ndimage (SSIM) are imported on first use,
-    # so commands that never call them do not pay for the import
+def test_model_commands_load_no_scipy():
+    # the runtime is numpy only: GELU brings its own erf and SSIM its own windowed means
     import subprocess
     import sys
 
     import hcanet
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(hcanet.__file__)))
-    code = "import sys, hcanet.cli; print(sorted(m for m in ('scipy.special', 'scipy.ndimage') if m in sys.modules))"
+    code = (
+        "import sys, numpy as np\n"
+        "from hcanet import metrics, tensor\n"
+        "tensor.gelu(tensor.Tensor(np.linspace(-3, 3, 7)))\n"
+        "x = np.random.default_rng(0).random((16, 16, 2))\n"
+        "metrics.evaluate(x, np.clip(x + 0.1, 0, 1))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # a static guard, so that a runtime dependency cannot creep back in
+    import ast
+    import sys
+
+    import hcanet
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hcanet"}
+    pkg = os.path.dirname(os.path.abspath(hcanet.__file__))
+    found = {}
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found.update({f"{name}: {r}": r for r in roots if r not in allowed})
+    assert not found, sorted(found)

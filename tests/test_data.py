@@ -118,6 +118,19 @@ class TestManifestAndDataset:
         m = data.DatasetManifest(cubes=("a.hsic",), patch_size=(8, 8, 4), samples=10)
         assert data.DatasetManifest.from_json(m.to_json()) == m
 
+    @pytest.mark.parametrize("fields", [
+        {"rotations": ()},
+        {"scales": ()},
+        {"patch_size": (8, 12, 4), "rotations": ("identity", "rot270")},
+    ], ids=["no_rotations", "no_scales", "non_square_turned"])
+    def test_manifest_rejects_unusable_augmentation(self, fields):
+        with pytest.raises(ConfigError):
+            data.DatasetManifest(**{"cubes": ("a.hsic",), "patch_size": (8, 8, 4), **fields})
+
+    def test_non_square_patch_without_quarter_turns_allowed(self):
+        m = data.DatasetManifest(cubes=("a.hsic",), patch_size=(8, 12, 4), rotations=("identity", "rot180"))
+        assert m.patch_size == (8, 12, 4)
+
     def test_missing_cube_rejected(self):
         m = data.DatasetManifest(cubes=("nope.hsic",), patch_size=(8, 8, 4))
         with pytest.raises(ConfigError):

@@ -83,7 +83,9 @@ class TestSsim:
         want = np.mean([ssim_loop_oracle(p[:, :, b], r[:, :, b]) for b in range(2)])
         assert abs(got - want) < 1e-6
 
-    @pytest.mark.parametrize("shape", [(13, 17, 3), (11, 11, 2), (11, 14, 2)])
+    # the last two are one window tall or wide, with 65 windows along the
+    # other axis: three blocks of the banded product, the last one partial
+    @pytest.mark.parametrize("shape", [(13, 17, 3), (11, 11, 2), (11, 14, 2), (11, 75, 2), (75, 11, 1)])
     def test_per_band_matches_loop_oracle(self, shape):
         rng = np.random.default_rng(16)
         p, r = rng.random(shape), rng.random(shape)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,21 @@ class TestSoftmax:
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(3), atol=1e-6)
 
 
+def grid(dtype, lo=-6.0, hi=6.0):
+    # GELU's forward tiles hold _CHUNK // 2 elements and its backward tiles
+    # _CHUNK, so this is 3.5 or 1.75 tiles and the last one is partial; over
+    # [-6, 6] a tile holds only |z| > 1 or mixes it with |z| < 1
+    return np.linspace(lo, hi, 7 * T._CHUNK // 4 + 17).astype(dtype)
+
+
+def gelu_reference(x):
+    """x * Phi(x) and its derivative, from the stdlib's double-precision erfc."""
+    x = [float(v) for v in x]
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    pdf = np.array([math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) for v in x])
+    return np.array(x) * cdf, cdf + np.array(x) * pdf
+
+
 class TestGelu:
     def test_zero(self):
         assert T.gelu(t([0.0])).data[0] == 0.0
@@ -108,6 +125,77 @@ class TestGelu:
         # x * Phi(x) at x=1: Phi(1) = 0.841344746...
         got = T.gelu(t([1.0], dtype=np.float64)).data[0]
         assert abs(got - 0.8413447460685429) < 1e-12
+
+    @pytest.mark.parametrize("lo, hi", [(-10.0, 10.0), (-1.414, 1.414)], ids=["wide", "all_fast_tiles"])
+    def test_float32_within_2_ulp_of_float64_reference(self, lo, hi):
+        x = grid(np.float32, lo, hi)
+        ref, _ = gelu_reference(x)
+        got = T.gelu(Tensor(x)).data.astype(np.float64)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref).astype(np.float32)))
+
+    def test_float64_close_to_reference(self):
+        x = grid(np.float64, -10.0, 10.0)
+        ref, dref = gelu_reference(x)
+        y = T.gelu(Tensor(x, requires_grad=True, dtype=np.float64))
+        np.testing.assert_allclose(y.data, ref, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(y.node.vjp(np.ones_like(x))[0], dref, rtol=1e-14, atol=1e-15)
+
+    def test_float32_gradient_close_to_reference(self):
+        x = grid(np.float32, -10.0, 10.0)
+        _, dref = gelu_reference(x)
+        y = T.gelu(Tensor(x, requires_grad=True))
+        np.testing.assert_allclose(y.node.vjp(np.ones_like(x))[0], dref, rtol=0, atol=2.5e-7)
+
+    def test_zero_is_exact_inside_a_full_tile(self):
+        x = np.zeros(T._CHUNK + 3, dtype=np.float32)
+        x[::7] = np.linspace(-4, 4, len(x[::7]))  # large |z| in the same tiles as the zeros
+        y = T.gelu(Tensor(x)).data
+        assert np.all(y[x == 0] == 0.0)
+
+    def test_float64_asymptotes(self):
+        y = T.gelu(t([-10.0, 10.0], dtype=np.float64)).data
+        ref, _ = gelu_reference([-10.0, 10.0])
+        assert y[1] == 10.0
+        assert abs(y[0] - ref[0]) <= 1e-12 * abs(ref[0])  # the left tail keeps its relative accuracy
+
+    def test_tile_with_few_large_values_matches_reference(self):
+        # the paper's traffic: almost every |z| < 1, with a few larger values per tile
+        rng = np.random.default_rng(3)
+        x = (0.3 * rng.standard_normal(2 * T._CHUNK + 5)).astype(np.float32)
+        x[rng.integers(0, len(x), 40)] = rng.choice([-2.5, -1.6, 1.7, 3.0], 40)
+        ref, _ = gelu_reference(x)
+        got = T.gelu(Tensor(x)).data.astype(np.float64)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref).astype(np.float32)))
+
+    def test_nan_propagates_without_spoiling_its_tile(self):
+        x = np.array([np.nan, 0.5, 3.0, -3.0], dtype=np.float32)
+        y = T.gelu(Tensor(x)).data
+        ref, _ = gelu_reference(x[1:])
+        assert np.isnan(y[0])
+        np.testing.assert_allclose(y[1:], ref, rtol=1e-6)
+
+
+class TestErf:
+    def test_float64_within_1e_15_of_stdlib(self):
+        z = grid(np.float64)
+        ref = np.array([math.erf(v) for v in z.tolist()])
+        assert np.abs(T._erf(z) - ref).max() <= 1e-15
+
+    def test_float32_within_an_ulp_of_stdlib(self):
+        z = grid(np.float32)
+        ref = np.array([math.erf(v) for v in z.tolist()])
+        err = np.abs(T._erf(z).astype(np.float64) - ref)
+        assert np.all(err <= np.spacing(np.abs(ref).astype(np.float32)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_and_exact_at_zero(self, dtype):
+        z = grid(dtype, 0.0, 6.0)
+        np.testing.assert_array_equal(T._erf(-z), -T._erf(z))
+        assert T._erf(np.zeros(3, dtype=dtype)).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_asymptotes(self, dtype):
+        assert T._erf(np.array([-10.0, 10.0], dtype=dtype)).tolist() == [-1.0, 1.0]
 
 
 class TestRearrange:
