@@ -22,6 +22,7 @@ from hcanet.network import HcaNet, desk_config
 from hcanet.noise import NoiseSpec
 from hcanet.train import TrainConfig, train
 
+VAL_FRACTION = 0.1
 VARIANTS = [
     ("base", dict(local_branch=False, conv3d_enabled=False, msfn_enabled=False)),
     ("+local", dict(local_branch=True, conv3d_enabled=False, msfn_enabled=False)),
@@ -41,6 +42,8 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=120)
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args()
+    if round(args.samples * VAL_FRACTION) == 0:  # PatchDataset rounds its split the same way
+        ap.error(f"--samples {args.samples} leaves no validation patch at val_fraction {VAL_FRACTION}")
 
     out = args.out or tempfile.mkdtemp(prefix="hcanet-ablation-")
     data_dir = os.path.join(out, "data")
@@ -57,7 +60,7 @@ def main() -> int:
         rotations=("identity", "rot90", "rot180", "rot270"),
         samples=args.samples,
         seed=7,
-        val_fraction=0.1,
+        val_fraction=VAL_FRACTION,
     )
     dataset = PatchDataset(manifest, base_dir=data_dir)
     cfg = TrainConfig(

@@ -18,6 +18,8 @@ from hcanet.network import HcaNet, desk_config
 from hcanet.noise import NoiseSpec
 from hcanet.train import TrainConfig, train
 
+VAL_FRACTION = 0.05
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -29,6 +31,8 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=200)
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args()
+    if round(args.samples * VAL_FRACTION) == 0:  # PatchDataset rounds its split the same way
+        ap.error(f"--samples {args.samples} leaves no validation patch at val_fraction {VAL_FRACTION}")
 
     out = args.out or tempfile.mkdtemp(prefix="hcanet-toy-")
     data_dir = os.path.join(out, "data")
@@ -45,7 +49,7 @@ def main() -> int:
         rotations=("identity", "rot90", "rot180", "rot270"),
         samples=args.samples,
         seed=7,
-        val_fraction=0.05,
+        val_fraction=VAL_FRACTION,
     )
     dataset = PatchDataset(manifest, base_dir=data_dir)
     net = HcaNet(desk_config(8), seed=0)

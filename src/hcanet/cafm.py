@@ -38,6 +38,8 @@ from .tensor import (
     softmax,
 )
 
+SHUFFLE_GROUPS = 4  # channel-shuffle groups of the local branch
+
 
 @dataclass
 class CafmWeights:
@@ -45,7 +47,6 @@ class CafmWeights:
     qkv_depthwise: Conv2dWeights  # 3x3 depthwise over the 3C channels
     out_pointwise: Conv2dWeights  # 1x1, C -> C
     alpha: Tensor  # 0-d temperature, init 1.0
-    shuffle_groups: int = 4
     # None disables the local branch (ablation); both set otherwise.
     local_pointwise: Conv2dWeights | None = None
     local_spectral: Conv3dWeights | None = None
@@ -64,22 +65,15 @@ class CafmWeights:
         yield prefix + "alpha", self.alpha
 
 
-def init_cafm(
-    rng: np.random.Generator,
-    c: int,
-    *,
-    groups: int = 4,
-    local_branch: bool = True,
-    spectral_3d: bool = True,
-) -> CafmWeights:
+def init_cafm(rng: np.random.Generator, c: int, *, local_branch: bool = True, spectral_3d: bool = True) -> CafmWeights:
     """Build CAFM weights for block width c.
 
     spectral_3d=False degrades the local 3x3x3 kernel to depth extent 1,
     which is a weight-tied per-channel 2-D 3x3 convolution (the 3-D-conv
     ablation keeps the channel contract but loses spectral mixing).
     """
-    if c % groups:
-        raise ShapeError(f"block width {c} not divisible by shuffle groups {groups}")
+    if c % SHUFFLE_GROUPS:
+        raise ShapeError(f"block width {c} not divisible by shuffle groups {SHUFFLE_GROUPS}")
     local_pw = local_3d = None
     if local_branch:
         local_pw = init_conv2d(rng, c, c, 1)
@@ -89,7 +83,6 @@ def init_cafm(
         qkv_depthwise=init_conv2d(rng, 3 * c, 3 * c, 3, groups=3 * c),
         out_pointwise=init_conv2d(rng, c, c, 1),
         alpha=Tensor(np.asarray(1.0), requires_grad=True),
-        shuffle_groups=groups,
         local_pointwise=local_pw,
         local_spectral=local_3d,
     )
@@ -100,7 +93,7 @@ def local_branch(y: Tensor, w: CafmWeights) -> Tensor:
     if w.local_pointwise is None or w.local_spectral is None:
         raise ContractError("local branch is disabled in these weights")
     z = conv2d(y, w.local_pointwise)
-    z = channel_shuffle(z, w.shuffle_groups)
+    z = channel_shuffle(z, SHUFFLE_GROUPS)
     return conv3d_on_features(z, w.local_spectral)
 
 

@@ -9,7 +9,8 @@ configuration (and input hashes) to reproduce the artifacts bit-for-bit.
 Config precedence for `train`: command-line flags > --config file sections
 ("train", "network", "noise") > built-in defaults.  The noise-case ranges,
 the Adam constants, the gradient clip and the loss weight are module
-constants of `noise`, `train` and `loss`, not settings.
+constants of `noise`, `train` and `loss`, not settings; so are MSFN's
+expansion and CAFM's shuffle groups (`msfn`, `cafm`).
 """
 
 from __future__ import annotations

@@ -259,6 +259,9 @@ def synthetic_cube(h: int, w: int, b: int, seed: int = 0, components: int = 6) -
 
     Each component is a low-frequency spatial wave times a smooth spectral
     curve; the sum is min-max normalized.  Deterministic in (shape, seed).
+    The spectral frequency is capped so a curve turns by at most a quarter
+    cycle between neighbouring bands; without the cap a few-band cube could
+    draw a near-Nyquist "curve" that jumps between adjacent bands.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x57E0], dtype=np.uint64)))
     ys = np.arange(h)[:, None, None] / h
@@ -270,7 +273,7 @@ def synthetic_cube(h: int, w: int, b: int, seed: int = 0, components: int = 6) -
         phase = rng.uniform(0, 2 * math.pi)
         amp = rng.uniform(0.3, 1.0)
         spatial = np.cos(2 * math.pi * (fy * ys + fx * xs) + phase)
-        k = rng.integers(1, 4)
+        k = min(rng.integers(1, 4), max(1, (b - 1) // 2))
         spec_phase = rng.uniform(0, 2 * math.pi)
         spectral = 0.5 + 0.5 * np.cos(math.pi * k * ls + spec_phase)
         cube += amp * spatial * spectral

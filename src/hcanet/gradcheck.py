@@ -167,7 +167,6 @@ def preset_ops(seed: int = 0) -> GradCheckResult:
         case("sub", T.sub, a=m, b=m)
         case("mul", T.mul_elementwise, a=m, b=m)
         case("scale", lambda a: T.scale(a, -1.7), a=m)
-        case("add_scalar", lambda a: T.add_scalar(a, 0.31), a=m)
         case("scale_by", T.scale_by, a=m, s=())
         case("reciprocal", T.reciprocal, x=lambda rng: rng.standard_normal(m) + 3.0)
         # |x| away from the kink at 0
@@ -205,7 +204,7 @@ def preset_cafm(seed: int = 0) -> GradCheckResult:
     rng = np.random.Generator(np.random.Philox(seed))
     with T.use_dtype(np.float64):
         x = Tensor(rng.standard_normal((1, 8, 3, 4)), requires_grad=True, dtype=np.float64)
-        w = init_cafm(rng, 8, groups=4)
+        w = init_cafm(rng, 8)
         params = {"x": x}
         params.update(dict(w.named_params()))
         return check_gradients(_weighted_loss(lambda: cafm_forward(x, w), rng), params, max_coords=24, seed=seed)
@@ -219,7 +218,7 @@ def preset_msfn(seed: int = 0) -> GradCheckResult:
     rng = np.random.Generator(np.random.Philox(seed))
     with T.use_dtype(np.float64):
         x = Tensor(rng.standard_normal((1, 6, 5, 5)), requires_grad=True, dtype=np.float64)
-        w = init_msfn(rng, 6, expansion=2)
+        w = init_msfn(rng, 6)
         params = {"x": x}
         params.update(dict(w.named_params()))
         return check_gradients(_weighted_loss(lambda: msfn_forward(x, w), rng), params, max_coords=24, seed=seed)
@@ -231,8 +230,7 @@ def preset_net(seed: int = 0) -> GradCheckResult:
     from .network import HcaNet, NetworkConfig
 
     rng = np.random.Generator(np.random.Philox(seed))
-    cfg = NetworkConfig(bands=4, base_width=8, levels=2, blocks_per_level=(1, 1),
-                        refinement_blocks=1, shuffle_groups=4)
+    cfg = NetworkConfig(bands=4, base_width=8, blocks_per_level=(1, 1), refinement_blocks=1)
     with T.use_dtype(np.float64):
         net = HcaNet(cfg, seed=seed)
         x = Tensor(rng.standard_normal((1, 4, 8, 8)) * 0.3, requires_grad=True, dtype=np.float64)

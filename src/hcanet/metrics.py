@@ -163,6 +163,7 @@ def _sam(pred: np.ndarray, ref: np.ndarray) -> tuple[float, int]:
 
 def evaluate(pred: np.ndarray, ref: np.ndarray) -> MetricReport:
     """All three metrics in one report (the JSON the CLI emits)."""
+    pred, ref = _check_cubes(pred, ref)  # float64 once; each metric's own check then copies nothing
     pb = psnr_per_band(pred, ref)
     sb = ssim_per_band(pred, ref)
     angle, skipped = _sam(pred, ref)

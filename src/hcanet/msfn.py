@@ -20,6 +20,8 @@ import numpy as np
 from .nn import Conv2dWeights, Conv3dWeights, conv2d, conv3d_on_features, init_conv2d, init_conv3d
 from .tensor import Tensor, add, gelu, mul_elementwise
 
+GAMMA = 2  # channel expansion of both 1x1 expansions, gamma in the paper
+
 
 @dataclass
 class MsfnWeights:
@@ -29,7 +31,6 @@ class MsfnWeights:
     dil2: Conv2dWeights  # 3x3, dilation 2, gamma*C -> gamma*C
     dil3: Conv2dWeights  # 3x3, dilation 3, gamma*C -> gamma*C
     project: Conv2dWeights  # 1x1, gamma*C -> C
-    gamma: int = 2
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield from self.expand_a.named_params(prefix + "expand_a.")
@@ -46,21 +47,14 @@ class FfnWeights:
 
     expand: Conv2dWeights  # 1x1, C -> gamma*C
     project: Conv2dWeights  # 1x1, gamma*C -> C
-    gamma: int = 2
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield from self.expand.named_params(prefix + "expand.")
         yield from self.project.named_params(prefix + "project.")
 
 
-def init_msfn(
-    rng: np.random.Generator,
-    c: int,
-    *,
-    expansion: int = 2,
-    spectral_3d: bool = True,
-) -> MsfnWeights:
-    gc = expansion * c
+def init_msfn(rng: np.random.Generator, c: int, *, spectral_3d: bool = True) -> MsfnWeights:
+    gc = GAMMA * c
     return MsfnWeights(
         expand_a=init_conv2d(rng, c, gc, 1),
         spectral=init_conv3d(rng, 1, 1, (3, 3, 3) if spectral_3d else (1, 3, 3)),
@@ -68,17 +62,12 @@ def init_msfn(
         dil2=init_conv2d(rng, gc, gc, 3, dilation=2),
         dil3=init_conv2d(rng, gc, gc, 3, dilation=3),
         project=init_conv2d(rng, gc, c, 1),
-        gamma=expansion,
     )
 
 
-def init_ffn(rng: np.random.Generator, c: int, *, expansion: int = 2) -> FfnWeights:
-    gc = expansion * c
-    return FfnWeights(
-        expand=init_conv2d(rng, c, gc, 1),
-        project=init_conv2d(rng, gc, c, 1),
-        gamma=expansion,
-    )
+def init_ffn(rng: np.random.Generator, c: int) -> FfnWeights:
+    gc = GAMMA * c
+    return FfnWeights(expand=init_conv2d(rng, c, gc, 1), project=init_conv2d(rng, gc, c, 1))
 
 
 def gating(x: Tensor, w: MsfnWeights) -> Tensor:

@@ -11,14 +11,14 @@ features into the decoder and fuse with 1x1 convolutions, and a 3x3 tail
 emits a residual map with one channel per band.  The denoised cube is
 input + residual; nothing is clipped here.
 
-Checkpoints: magic "HCAW", u32 version, length-prefixed canonical-JSON
-NetworkConfig, then per-tensor records (length-prefixed name, u32 rank and
-extents, raw little-endian f32 data).  Reload is bit-exact.  It builds the
-network from its shapes alone, drawing no initial values, and checks the record
-bytes that the config implies against the bytes in the file before it reads
-any tensor, so a corrupt config cannot allocate a huge network; the block
-count is bounded by the file's size before the build, so it cannot spend
-long building a deep one either.
+Checkpoints: magic "HCAW", u32 version 2 (no other version is read),
+length-prefixed canonical-JSON NetworkConfig, then per-tensor records
+(length-prefixed name, u32 rank and extents, raw little-endian f32 data).
+Reload is bit-exact.  It builds the network from its shapes alone, drawing no
+initial values, and checks the record bytes that the config implies against
+the bytes in the file before it reads any tensor, so a corrupt config cannot
+allocate a huge network; the block count is bounded by the file's size before
+the build, so it cannot spend long building a deep one either.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from . import nn
-from .cafm import CafmWeights, cafm_forward, init_cafm
+from .cafm import SHUFFLE_GROUPS, CafmWeights, cafm_forward, init_cafm
 from .errors import ConfigError, FormatError, ShapeError
 from .msfn import FfnWeights, MsfnWeights, ffn_forward, init_ffn, init_msfn, msfn_forward
 from .nn import (
@@ -51,50 +51,42 @@ from .nn import (
 from .tensor import Tensor, add, concat, matmul, no_grad, permute, reshape, slice_
 
 CHECKPOINT_MAGIC = b"HCAW"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
     bands: int
     base_width: int = 16
-    levels: int = 4
-    blocks_per_level: tuple[int, ...] = (2, 2, 2, 2)
+    blocks_per_level: tuple[int, ...] = (2, 2, 2, 2)  # one entry per level, the bottleneck last
     refinement_blocks: int = 2
-    shuffle_groups: int = 4
-    gamma: int = 2
-    norm_enabled: bool = True
     local_branch: bool = True
     conv3d_enabled: bool = True
     msfn_enabled: bool = True
 
     def __post_init__(self):
-        counts = (self.bands, self.base_width, self.levels, self.shuffle_groups, self.gamma, self.refinement_blocks)
+        counts = (self.bands, self.base_width, self.refinement_blocks)
         # a stored config is outside input: a float count would fail deep inside the build
         if not all(isinstance(v, int) for v in counts + tuple(self.blocks_per_level)):
             raise ConfigError(f"widths and counts must be integers, got {self}")
-        if min(self.bands, self.base_width, self.shuffle_groups) < 1:
-            raise ConfigError(f"bands, base_width and shuffle_groups must be positive, got {self}")
-        if self.levels < 1 or len(self.blocks_per_level) != self.levels:
-            raise ConfigError(
-                f"blocks_per_level has {len(self.blocks_per_level)} entries for {self.levels} levels"
-            )
-        if self.base_width % self.shuffle_groups:
-            raise ConfigError(
-                f"base_width {self.base_width} not divisible by shuffle_groups {self.shuffle_groups}"
-            )
-        if self.gamma < 1:
-            raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
+        if min(self.bands, self.base_width) < 1:
+            raise ConfigError(f"bands and base_width must be positive, got {self}")
+        if not self.blocks_per_level:
+            raise ConfigError("blocks_per_level needs at least one level")
+        if self.base_width % SHUFFLE_GROUPS:
+            raise ConfigError(f"base_width {self.base_width} not divisible by {SHUFFLE_GROUPS} shuffle groups")
         if any(b < 1 for b in self.blocks_per_level) or self.refinement_blocks < 0:
             raise ConfigError("block counts must be positive (refinement may be 0)")
+
+    @property
+    def levels(self) -> int:
+        return len(self.blocks_per_level)
 
     def width(self, level: int) -> int:
         return self.base_width * (1 << level)
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["blocks_per_level"] = list(self.blocks_per_level)
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "NetworkConfig":
@@ -113,26 +105,22 @@ def paper_config(bands: int = 31) -> NetworkConfig:
 
 def desk_config(bands: int = 8) -> NetworkConfig:
     """Small preset for tests and toy training runs."""
-    return NetworkConfig(
-        bands=bands, base_width=16, levels=3, blocks_per_level=(1, 1, 1), refinement_blocks=1
-    )
+    return NetworkConfig(bands=bands, blocks_per_level=(1, 1, 1), refinement_blocks=1)
 
 
 @dataclass
 class BlockWeights:
     """One CAMixing block: pre-norm CAFM residual, then pre-norm FFN residual."""
 
+    norm1: LayerNormWeights
     cafm: CafmWeights
+    norm2: LayerNormWeights
     ffn: MsfnWeights | FfnWeights
-    norm1: LayerNormWeights | None = None
-    norm2: LayerNormWeights | None = None
 
     def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        if self.norm1 is not None:
-            yield from self.norm1.named_params(prefix + "norm1.")
+        yield from self.norm1.named_params(prefix + "norm1.")
         yield from self.cafm.named_params(prefix + "cafm.")
-        if self.norm2 is not None:
-            yield from self.norm2.named_params(prefix + "norm2.")
+        yield from self.norm2.named_params(prefix + "norm2.")
         yield from self.ffn.named_params(prefix + "ffn.")
 
 
@@ -155,26 +143,16 @@ def _init_norm(rng, c: int) -> LayerNormWeights:
 
 
 def _init_block(rng: np.random.Generator, cfg: NetworkConfig, c: int) -> BlockWeights:
-    norm1 = _init_norm(rng, c) if cfg.norm_enabled else None
-    cafm = init_cafm(
-        rng,
-        c,
-        groups=cfg.shuffle_groups,
-        local_branch=cfg.local_branch,
-        spectral_3d=cfg.conv3d_enabled,
-    )
-    norm2 = _init_norm(rng, c) if cfg.norm_enabled else None
-    if cfg.msfn_enabled:
-        ffn = init_msfn(rng, c, expansion=cfg.gamma, spectral_3d=cfg.conv3d_enabled)
-    else:
-        ffn = init_ffn(rng, c, expansion=cfg.gamma)
-    return BlockWeights(cafm=cafm, ffn=ffn, norm1=norm1, norm2=norm2)
+    norm1 = _init_norm(rng, c)
+    cafm = init_cafm(rng, c, local_branch=cfg.local_branch, spectral_3d=cfg.conv3d_enabled)
+    norm2 = _init_norm(rng, c)
+    ffn = init_msfn(rng, c, spectral_3d=cfg.conv3d_enabled) if cfg.msfn_enabled else init_ffn(rng, c)
+    return BlockWeights(norm1, cafm, norm2, ffn)
 
 
 def _block_forward(x: Tensor, blk: BlockWeights) -> Tensor:
-    h = layer_norm(x, blk.norm1) if blk.norm1 is not None else x
-    x = add(x, cafm_forward(h, blk.cafm))
-    h = layer_norm(x, blk.norm2) if blk.norm2 is not None else x
+    x = add(x, cafm_forward(layer_norm(x, blk.norm1), blk.cafm))
+    h = layer_norm(x, blk.norm2)
     if isinstance(blk.ffn, MsfnWeights):
         return add(x, msfn_forward(h, blk.ffn))
     return add(x, ffn_forward(h, blk.ffn))

@@ -214,10 +214,6 @@ def scale(x: Tensor, s: float) -> Tensor:
     return Tensor._from_op(x.data * s, "scale", (x,), lambda g: (g * s,))
 
 
-def add_scalar(x: Tensor, s: float) -> Tensor:
-    return Tensor._from_op(x.data + s, "add_scalar", (x,), lambda g: (g,))
-
-
 def scale_by(x: Tensor, s: Tensor) -> Tensor:
     """Multiply a tensor by a 0-d tensor (the one permitted broadcast)."""
     if s.ndim != 0:

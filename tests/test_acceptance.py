@@ -100,8 +100,7 @@ def test_criterion_01_gradcheck_all_presets():
 
 
 def test_criterion_02_zero_tail_is_identity():
-    cfg = NetworkConfig(bands=4, base_width=8, levels=2, blocks_per_level=(1, 1),
-                        refinement_blocks=1, shuffle_groups=4)
+    cfg = NetworkConfig(bands=4, base_width=8, blocks_per_level=(1, 1), refinement_blocks=1)
     net = HcaNet(cfg, seed=0)
     for name, p in net.named_params():
         if name.startswith("tail."):

@@ -8,8 +8,8 @@ from hcanet.errors import ContractError, ShapeError
 from hcanet.tensor import Tensor
 
 
-def make_weights(c=8, groups=4, seed=0, **kw):
-    return cafm.init_cafm(np.random.Generator(np.random.Philox(seed)), c, groups=groups, **kw)
+def make_weights(c=8, seed=0, **kw):
+    return cafm.init_cafm(np.random.Generator(np.random.Philox(seed)), c, **kw)
 
 
 def zero_all(w: cafm.CafmWeights):
@@ -37,7 +37,7 @@ class TestLocalBranch:
 
     def test_width_indivisible_by_groups(self):
         with pytest.raises(ShapeError):
-            make_weights(c=6, groups=4)
+            make_weights(c=6)  # shuffle groups: 4
 
 
 class TestAttentionMap:

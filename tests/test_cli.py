@@ -19,14 +19,7 @@ def write_cube(tmp_path, name, h=24, w=24, b=4, seed=3):
 
 
 def tiny_checkpoint(tmp_path, bands=4, zero_tail=False, seed=0):
-    cfg = NetworkConfig(
-        bands=bands,
-        base_width=8,
-        levels=2,
-        blocks_per_level=(1, 1),
-        refinement_blocks=1,
-        shuffle_groups=4,
-    )
+    cfg = NetworkConfig(bands=bands, base_width=8, blocks_per_level=(1, 1), refinement_blocks=1)
     net = HcaNet(cfg, seed=seed)
     if zero_tail:
         for name, p in net.named_params():
@@ -184,7 +177,7 @@ def test_denoise_corrupt_checkpoint_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def checkpoint_with_header(tmp_path, **fields):
+def checkpoint_with_header(tmp_path, version=None, **fields):
     """A checkpoint file whose config is the 4-band paper preset with ``fields`` set,
     written as raw JSON so the config need not be valid, followed by 64 zero bytes."""
     import struct
@@ -194,8 +187,9 @@ def checkpoint_with_header(tmp_path, **fields):
     doc = json.loads(paper_config(4).to_json())
     doc.update(fields)
     cfg = json.dumps(doc).encode("utf-8")
+    head = struct.pack("<II", CHECKPOINT_VERSION if version is None else version, len(cfg))
     bad = tmp_path / "bad.hcaw"
-    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg)) + cfg + b"\x00" * 64)
+    bad.write_bytes(CHECKPOINT_MAGIC + head + cfg + b"\x00" * 64)
     return str(bad)
 
 
@@ -222,7 +216,7 @@ def test_denoise_checkpoint_claiming_a_huge_network_exits_3(tmp_path, capsys):
 
 
 def test_denoise_checkpoint_claiming_a_million_blocks_exits_3(tmp_path, capsys):
-    model = checkpoint_with_header(tmp_path, levels=1, blocks_per_level=[10**6])
+    model = checkpoint_with_header(tmp_path, blocks_per_level=[10**6])
     code, peak = denoise_peak(tmp_path, model)
     assert code == 3
     assert "blocks" in capsys.readouterr().err
@@ -231,8 +225,8 @@ def test_denoise_checkpoint_claiming_a_million_blocks_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fields", [
-    dict(base_width=18, shuffle_groups=4),  # base_width must be divisible by shuffle_groups
-    dict(shuffle_groups=0),
+    dict(base_width=18),  # base_width must be divisible by the 4 shuffle groups
+    dict(shuffle_groups=0),  # a version-2 config names no shuffle_groups or gamma
     dict(gamma=1.5),
     dict(blocks_per_level=[2.5, 2, 2, 2]),
 ], ids=["indivisible", "zero_groups", "float_gamma", "float_blocks"])
@@ -241,6 +235,14 @@ def test_denoise_checkpoint_with_an_invalid_config_exits_3(tmp_path, capsys, fie
     src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
     assert main(["denoise", "--model", model, "--in", src, "--out", str(tmp_path / "o.hsic")]) == 3
     assert "bad NetworkConfig" in capsys.readouterr().err
+
+
+def test_denoise_version_1_checkpoint_exits_3(tmp_path, capsys):
+    # the version-1 header as the last version-1 writer wrote it for this preset
+    model = checkpoint_with_header(tmp_path, version=1, gamma=2, levels=4, norm_enabled=True, shuffle_groups=4)
+    src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
+    assert main(["denoise", "--model", model, "--in", src, "--out", str(tmp_path / "o.hsic")]) == 3
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
 
 # -- gradcheck ----------------------------------------------------------------
@@ -279,10 +281,8 @@ def train_fixture(tmp_path, val_fraction=0.1):
         "network": {
             "bands": 4,
             "base_width": 8,
-            "levels": 2,
             "blocks_per_level": [1, 1],
             "refinement_blocks": 1,
-            "shuffle_groups": 4,
         },
         "noise": {"kind": "gaussian", "sigma": 30.0, "seed": 9},
     }
@@ -320,7 +320,8 @@ def test_train_without_config_uses_small_preset(tmp_path, capsys):
     doc = stdout_json(capsys)
     manifest = json.load(open(doc["manifest"], encoding="utf-8"))
     assert manifest["configs"]["network"]["bands"] == 4
-    assert manifest["configs"]["network"]["levels"] == 3
+    assert manifest["configs"]["network"]["blocks_per_level"] == [1, 1, 1]
+    assert "levels" not in manifest["configs"]["network"]
     assert manifest["configs"]["noise"] == {
         **manifest["configs"]["noise"],
         "kind": "gaussian",
@@ -370,8 +371,13 @@ def test_train_unknown_section_exits_2(tmp_path, capsys):
     ("train", "beta1", 0.9, 2),  # the Adam constants are not settings
     ("loss", None, {"lambda_grad": 0.01}, 2),  # nor is the loss weight
     ("noise", "seed", 1.5, 2),
+    ("network", "gamma", 2, 2),  # the block's constants are not settings either
+    ("network", "levels", 2, 2),  # levels is len(blocks_per_level)
+    ("network", "norm_enabled", True, 2),
+    ("network", "shuffle_groups", 4, 2),
 ], ids=["noise_list", "train_string", "blocks_int", "float_epochs", "float_batch_size",
-        "removed_train_key", "loss_section", "float_noise_seed"])
+        "removed_train_key", "loss_section", "float_noise_seed", "removed_network_gamma",
+        "removed_network_levels", "removed_network_norm_enabled", "removed_network_shuffle_groups"])
 def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, key, value, code):
     data_path, config_path = train_fixture(tmp_path)
     cfg = json.load(open(config_path, encoding="utf-8"))

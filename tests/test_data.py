@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcanet import data
@@ -178,6 +178,7 @@ class TestSyntheticCube:
         assert not np.array_equal(a, b)
 
     @given(st.integers(0, 500))
+    @example(189)  # draws a near-Nyquist spectral curve unless its frequency is capped
     @settings(max_examples=10, deadline=None)
     def test_smoothness(self, seed):
         c = data.synthetic_cube(24, 24, 6, seed=seed)

@@ -16,7 +16,7 @@ class TestGating:
         np.testing.assert_array_equal(y.data, 0.0)
 
     def test_expansion_channels(self):
-        w = make_weights(c=8, expansion=2)
+        w = make_weights(c=8)  # gamma = 2
         x = Tensor(np.random.default_rng(0).standard_normal((1, 8, 8, 8)).astype(np.float32))
         assert msfn.gating(x, w).shape == (1, 16, 8, 8)
 

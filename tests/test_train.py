@@ -51,10 +51,8 @@ def tiny_net(seed=0):
     cfg = NetworkConfig(
         bands=4,
         base_width=8,
-        levels=2,
         blocks_per_level=(1, 1),
         refinement_blocks=1,
-        shuffle_groups=4,
     )
     return HcaNet(cfg, seed=seed)
 
