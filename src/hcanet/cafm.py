@@ -12,7 +12,6 @@ the sum of the two branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -43,26 +42,16 @@ SHUFFLE_GROUPS = 4  # channel-shuffle groups of the local branch
 
 @dataclass
 class CafmWeights:
-    qkv_pointwise: Conv2dWeights  # 1x1, C -> 3C
-    qkv_depthwise: Conv2dWeights  # 3x3 depthwise over the 3C channels
-    out_pointwise: Conv2dWeights  # 1x1, C -> C
+    """Fields in checkpoint order; ``nn.named_params`` names them (``cafm.local_pw.kernel``, ...)."""
+
+    # local branch (F_conv); None in both disables it (ablation)
+    local_pw: Conv2dWeights | None  # 1x1, C -> C, before the channel shuffle
+    local_3d: Conv3dWeights | None  # 3x3x3 (1x3x3 without spectral mixing) over (channel, H, W)
+    # global branch (F_att)
+    qkv_pw: Conv2dWeights  # 1x1, C -> 3C
+    qkv_dw: Conv2dWeights  # 3x3 depthwise over the 3C channels
+    out_pw: Conv2dWeights  # 1x1, C -> C
     alpha: Tensor  # 0-d temperature, init 1.0
-    # None disables the local branch (ablation); both set otherwise.
-    local_pointwise: Conv2dWeights | None = None
-    local_spectral: Conv3dWeights | None = None
-
-    @property
-    def local_enabled(self) -> bool:
-        return self.local_pointwise is not None
-
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        if self.local_pointwise is not None:
-            yield from self.local_pointwise.named_params(prefix + "local_pw.")
-            yield from self.local_spectral.named_params(prefix + "local_3d.")
-        yield from self.qkv_pointwise.named_params(prefix + "qkv_pw.")
-        yield from self.qkv_depthwise.named_params(prefix + "qkv_dw.")
-        yield from self.out_pointwise.named_params(prefix + "out_pw.")
-        yield prefix + "alpha", self.alpha
 
 
 def init_cafm(rng: np.random.Generator, c: int, *, local_branch: bool = True, spectral_3d: bool = True) -> CafmWeights:
@@ -79,22 +68,22 @@ def init_cafm(rng: np.random.Generator, c: int, *, local_branch: bool = True, sp
         local_pw = init_conv2d(rng, c, c, 1)
         local_3d = init_conv3d(rng, 1, 1, (3, 3, 3) if spectral_3d else (1, 3, 3))
     return CafmWeights(
-        qkv_pointwise=init_conv2d(rng, c, 3 * c, 1),
-        qkv_depthwise=init_conv2d(rng, 3 * c, 3 * c, 3, groups=3 * c),
-        out_pointwise=init_conv2d(rng, c, c, 1),
+        local_pw,
+        local_3d,
+        qkv_pw=init_conv2d(rng, c, 3 * c, 1),
+        qkv_dw=init_conv2d(rng, 3 * c, 3 * c, 3, groups=3 * c),
+        out_pw=init_conv2d(rng, c, c, 1),
         alpha=Tensor(np.asarray(1.0), requires_grad=True),
-        local_pointwise=local_pw,
-        local_spectral=local_3d,
     )
 
 
 def local_branch(y: Tensor, w: CafmWeights) -> Tensor:
     """F_conv: 1x1 conv, channel shuffle, 3x3x3 conv.  No residual here."""
-    if w.local_pointwise is None or w.local_spectral is None:
+    if w.local_pw is None or w.local_3d is None:
         raise ContractError("local branch is disabled in these weights")
-    z = conv2d(y, w.local_pointwise)
+    z = conv2d(y, w.local_pw)
     z = channel_shuffle(z, SHUFFLE_GROUPS)
-    return conv3d_on_features(z, w.local_spectral)
+    return conv3d_on_features(z, w.local_3d)
 
 
 def attention_map(q_hat: Tensor, k_hat: Tensor, alpha) -> Tensor:
@@ -114,7 +103,7 @@ def attention_map(q_hat: Tensor, k_hat: Tensor, alpha) -> Tensor:
 def global_branch(y: Tensor, w: CafmWeights) -> Tensor:
     """F_att: channel attention over Q/K/V plus the residual input."""
     n, c, h, wd = y.shape
-    qkv = conv2d(conv2d(y, w.qkv_pointwise), w.qkv_depthwise)  # (N, 3C, H, W)
+    qkv = conv2d(conv2d(y, w.qkv_pw), w.qkv_dw)  # (N, 3C, H, W)
     q = reshape(slice_(qkv, (slice(None), slice(0, c))), (n, c, h * wd))
     k = reshape(slice_(qkv, (slice(None), slice(c, 2 * c))), (n, c, h * wd))
     v = reshape(slice_(qkv, (slice(None), slice(2 * c, 3 * c))), (n, c, h * wd))
@@ -123,12 +112,12 @@ def global_branch(y: Tensor, w: CafmWeights) -> Tensor:
     a = attention_map(q_hat, k, w.alpha)  # (N, C, C)
     att = matmul(v_hat, a)  # (N, HW, C)
     att = reshape(permute(att, (0, 2, 1)), (n, c, h, wd))
-    return add(conv2d(att, w.out_pointwise), y)
+    return add(conv2d(att, w.out_pw), y)
 
 
 def cafm_forward(y: Tensor, w: CafmWeights) -> Tensor:
     """F_out = F_att + F_conv (global branch alone when local is disabled)."""
     out = global_branch(y, w)
-    if w.local_enabled:
+    if w.local_pw is not None:
         out = add(out, local_branch(y, w))
     return out

@@ -115,14 +115,22 @@ class DatasetManifest:
     val_fraction: float = 0.05
 
     def __post_init__(self):
-        if not self.cubes:
-            raise ConfigError("manifest lists no cubes")
+        if not self.cubes or any(type(c) is not str for c in self.cubes):
+            raise ConfigError(f"cubes must be a non-empty list of file names, got {self.cubes!r}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if not self.rotations or any(r not in ROTATIONS for r in self.rotations):
             raise ConfigError(f"rotations must be a non-empty selection from {ROTATIONS}")
         if not self.scales or any(s <= 0 or s > 1 for s in self.scales):
             raise ConfigError("scales must be a non-empty list of factors in (0, 1]")
+        # a manifest is outside input: a mistyped value would crash the dataset build, or a
+        # float seed be truncated to a different Philox key than the one recorded
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if type(self.samples) is not int or self.samples < 1:
+            raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
+        if len(self.patch_size) != 3 or not all(type(v) is int and v > 0 for v in self.patch_size):
+            raise ConfigError(f"patch_size must be three positive integers, got {self.patch_size!r}")
         ph, pw = self.patch_size[:2]
         turned = sorted(set(self.rotations) & {"rot90", "rot270"})
         if ph != pw and turned:
@@ -130,10 +138,7 @@ class DatasetManifest:
             raise ConfigError(f"rotations {turned} need a square patch, got {ph}x{pw}")
 
     def to_json(self) -> str:
-        d = asdict(self)
-        for k in ("cubes", "patch_size", "scales", "rotations"):
-            d[k] = list(d[k])
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "DatasetManifest":
@@ -253,8 +258,10 @@ class PatchDataset:
 
 # -- synthetic cubes --------------------------------------------------------------
 
+SYNTHETIC_COMPONENTS = 6  # Fourier components summed into one synthetic cube
 
-def synthetic_cube(h: int, w: int, b: int, seed: int = 0, components: int = 6) -> np.ndarray:
+
+def synthetic_cube(h: int, w: int, b: int, seed: int = 0) -> np.ndarray:
     """Smooth random cube in [0, 1] built from low-order Fourier mixtures.
 
     Each component is a low-frequency spatial wave times a smooth spectral
@@ -268,7 +275,7 @@ def synthetic_cube(h: int, w: int, b: int, seed: int = 0, components: int = 6) -
     xs = np.arange(w)[None, :, None] / w
     ls = np.arange(b)[None, None, :] / max(b - 1, 1)
     cube = np.zeros((h, w, b))
-    for _ in range(components):
+    for _ in range(SYNTHETIC_COMPONENTS):
         fy, fx = rng.integers(0, 4, size=2)
         phase = rng.uniform(0, 2 * math.pi)
         amp = rng.uniform(0.3, 1.0)

@@ -58,16 +58,14 @@ def check_gradients(
     fn: Callable[[], Tensor],
     params: dict[str, Tensor],
     *,
-    step: float = FD_STEP,
-    tolerance: float = TOLERANCE,
     max_coords: int | None = None,
     seed: int = 0,
 ) -> GradCheckResult:
     """Compare backward() against central differences for every parameter.
 
     fn computes a scalar loss from the tensors in params (by closure); it is
-    re-evaluated with individual coordinates nudged by +-step.  Parameter data
-    must be float64: float32 FD at step 1e-3 loses most of its digits.
+    re-evaluated with individual coordinates nudged by +-FD_STEP.  Parameter
+    data must be float64: float32 FD at step 1e-3 loses most of its digits.
     """
     for name, t in params.items():
         if t.data.dtype != np.float64:
@@ -89,17 +87,17 @@ def check_gradients(
         with no_grad():
             for k, i in enumerate(idx):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + FD_STEP
                 fp = fn().item()
-                flat[i] = orig - step
+                flat[i] = orig - FD_STEP
                 fm = fn().item()
                 flat[i] = orig
-                numeric[k] = (fp - fm) / (2.0 * step)
+                numeric[k] = (fp - fm) / (2.0 * FD_STEP)
         ana = analytic.reshape(-1)[idx]
         scale = max(np.max(np.abs(ana), initial=0.0), np.max(np.abs(numeric), initial=0.0), 1e-12)
         rel = float(np.max(np.abs(ana - numeric), initial=0.0) / scale)
         checks.append(ParamCheck(name, rel, int(idx.size)))
-    return GradCheckResult(checks, max(c.rel_err for c in checks), tolerance)
+    return GradCheckResult(checks, max(c.rel_err for c in checks), TOLERANCE)
 
 
 def _merge(parts: list[GradCheckResult]) -> GradCheckResult:
@@ -200,13 +198,14 @@ def preset_cafm(seed: int = 0) -> GradCheckResult:
     """Sampled FD check through a full attention-plus-convolution module."""
     from . import tensor as T
     from .cafm import cafm_forward, init_cafm
+    from .nn import named_params
 
     rng = np.random.Generator(np.random.Philox(seed))
     with T.use_dtype(np.float64):
         x = Tensor(rng.standard_normal((1, 8, 3, 4)), requires_grad=True, dtype=np.float64)
         w = init_cafm(rng, 8)
         params = {"x": x}
-        params.update(dict(w.named_params()))
+        params.update(named_params(w))
         return check_gradients(_weighted_loss(lambda: cafm_forward(x, w), rng), params, max_coords=24, seed=seed)
 
 
@@ -214,13 +213,14 @@ def preset_msfn(seed: int = 0) -> GradCheckResult:
     """Sampled FD check through the gated feed-forward module."""
     from . import tensor as T
     from .msfn import init_msfn, msfn_forward
+    from .nn import named_params
 
     rng = np.random.Generator(np.random.Philox(seed))
     with T.use_dtype(np.float64):
         x = Tensor(rng.standard_normal((1, 6, 5, 5)), requires_grad=True, dtype=np.float64)
         w = init_msfn(rng, 6)
         params = {"x": x}
-        params.update(dict(w.named_params()))
+        params.update(named_params(w))
         return check_gradients(_weighted_loss(lambda: msfn_forward(x, w), rng), params, max_coords=24, seed=seed)
 
 
@@ -235,7 +235,7 @@ def preset_net(seed: int = 0) -> GradCheckResult:
         net = HcaNet(cfg, seed=seed)
         x = Tensor(rng.standard_normal((1, 4, 8, 8)) * 0.3, requires_grad=True, dtype=np.float64)
         params = {"x": x}
-        params.update(dict(net.named_params()))
+        params.update(net.named_params())
         return check_gradients(_weighted_loss(lambda: net.forward(x), rng), params, max_coords=3, seed=seed)
 
 

@@ -69,10 +69,10 @@ def psnr(pred: np.ndarray, ref: np.ndarray) -> float:
     return float(psnr_per_band(pred, ref).mean())
 
 
-def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+def _gaussian_window() -> np.ndarray:
     """The 1-D factor of the 2-D window: outer(g, g) is the normalized 2-D Gaussian."""
-    r = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(r**2) / (2.0 * sigma**2))
+    r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(r**2) / (2.0 * SSIM_SIGMA**2))
     return g / g.sum()
 
 

@@ -13,7 +13,6 @@ ablation switch is off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -32,14 +31,6 @@ class MsfnWeights:
     dil3: Conv2dWeights  # 3x3, dilation 3, gamma*C -> gamma*C
     project: Conv2dWeights  # 1x1, gamma*C -> C
 
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.expand_a.named_params(prefix + "expand_a.")
-        yield from self.spectral.named_params(prefix + "spectral.")
-        yield from self.expand_b.named_params(prefix + "expand_b.")
-        yield from self.dil2.named_params(prefix + "dil2.")
-        yield from self.dil3.named_params(prefix + "dil3.")
-        yield from self.project.named_params(prefix + "project.")
-
 
 @dataclass
 class FfnWeights:
@@ -47,10 +38,6 @@ class FfnWeights:
 
     expand: Conv2dWeights  # 1x1, C -> gamma*C
     project: Conv2dWeights  # 1x1, gamma*C -> C
-
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.expand.named_params(prefix + "expand.")
-        yield from self.project.named_params(prefix + "project.")
 
 
 def init_msfn(rng: np.random.Generator, c: int, *, spectral_3d: bool = True) -> MsfnWeights:

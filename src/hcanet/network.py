@@ -65,10 +65,13 @@ class NetworkConfig:
     msfn_enabled: bool = True
 
     def __post_init__(self):
-        counts = (self.bands, self.base_width, self.refinement_blocks)
-        # a stored config is outside input: a float count would fail deep inside the build
-        if not all(isinstance(v, int) for v in counts + tuple(self.blocks_per_level)):
+        counts = (self.bands, self.base_width, self.refinement_blocks, *self.blocks_per_level)
+        # a stored config is outside input: a float count would fail deep inside the build,
+        # a bool would pass for a count, and a string switch ("false") for true
+        if not all(type(v) is int for v in counts):
             raise ConfigError(f"widths and counts must be integers, got {self}")
+        if not all(type(v) is bool for v in (self.local_branch, self.conv3d_enabled, self.msfn_enabled)):
+            raise ConfigError(f"local_branch, conv3d_enabled and msfn_enabled must be true or false, got {self}")
         if min(self.bands, self.base_width) < 1:
             raise ConfigError(f"bands and base_width must be positive, got {self}")
         if not self.blocks_per_level:
@@ -116,12 +119,6 @@ class BlockWeights:
     cafm: CafmWeights
     norm2: LayerNormWeights
     ffn: MsfnWeights | FfnWeights
-
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.norm1.named_params(prefix + "norm1.")
-        yield from self.cafm.named_params(prefix + "cafm.")
-        yield from self.norm2.named_params(prefix + "norm2.")
-        yield from self.ffn.named_params(prefix + "ffn.")
 
 
 class _Blank:
@@ -196,22 +193,24 @@ class HcaNet:
     # -- parameters ---------------------------------------------------------
 
     def named_params(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.stem_3d.named_params("stem_3d.")
-        yield from self.stem_collapse.named_params("stem_collapse.")
+        """Every parameter in checkpoint order: each level's encoder blocks then its
+        downsample, the bottleneck, each decoder level's upsample, fuse and blocks."""
+        yield from nn.named_params(self.stem_3d, "stem_3d.")
+        yield from nn.named_params(self.stem_collapse, "stem_collapse.")
         for lvl, blocks in enumerate(self.enc_blocks):
             for i, blk in enumerate(blocks):
-                yield from blk.named_params(f"enc{lvl}.b{i}.")
-            yield from self.downs[lvl].named_params(f"down{lvl}.")
+                yield from nn.named_params(blk, f"enc{lvl}.b{i}.")
+            yield from nn.named_params(self.downs[lvl], f"down{lvl}.")
         for i, blk in enumerate(self.bottleneck):
-            yield from blk.named_params(f"mid.b{i}.")
+            yield from nn.named_params(blk, f"mid.b{i}.")
         for d, blocks in enumerate(self.dec_blocks):
-            yield from self.ups[d].named_params(f"up{d}.")
-            yield from self.skip_fuse[d].named_params(f"fuse{d}.")
+            yield from nn.named_params(self.ups[d], f"up{d}.")
+            yield from nn.named_params(self.skip_fuse[d], f"fuse{d}.")
             for i, blk in enumerate(blocks):
-                yield from blk.named_params(f"dec{d}.b{i}.")
+                yield from nn.named_params(blk, f"dec{d}.b{i}.")
         for i, blk in enumerate(self.refine):
-            yield from blk.named_params(f"refine.b{i}.")
-        yield from self.tail.named_params("tail.")
+            yield from nn.named_params(blk, f"refine.b{i}.")
+        yield from nn.named_params(self.tail, "tail.")
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.named_params())

@@ -43,7 +43,7 @@ contiguous slice, and the wide grid keeps each coarse extent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator
 
 import numpy as np
@@ -62,9 +62,6 @@ class Conv2dWeights:
     stride: int = 1
     dilation: int = 1
 
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield prefix + "kernel", self.kernel
-
 
 @dataclass
 class Conv3dWeights:
@@ -76,18 +73,12 @@ class Conv3dWeights:
 
     kernel: Tensor
 
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield prefix + "kernel", self.kernel
-
 
 @dataclass
 class ConvT2dWeights:
     """2x2 stride-2 transposed convolution; kernel: (inC, outC, 2, 2)."""
 
     kernel: Tensor
-
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield prefix + "kernel", self.kernel
 
 
 @dataclass
@@ -97,9 +88,20 @@ class LayerNormWeights:
     gamma: Tensor
     beta: Tensor
 
-    def named_params(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield prefix + "gamma", self.gamma
-        yield prefix + "beta", self.beta
+
+def named_params(weights, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """Every tensor of a weight dataclass, named by its field path, in declaration order.
+
+    A ``Tensor`` field is ``prefix + field``; a nested weight dataclass is walked
+    under ``prefix + field + "."``.  ``None`` (a disabled branch) and plain
+    values such as ``stride`` are skipped.
+    """
+    for f in fields(weights):
+        v = getattr(weights, f.name)
+        if isinstance(v, Tensor):
+            yield prefix + f.name, v
+        elif is_dataclass(v):
+            yield from named_params(v, prefix + f.name + ".")
 
 
 # -- initialization ------------------------------------------------------------
@@ -440,8 +442,10 @@ def channel_shuffle(x: Tensor, groups: int) -> Tensor:
 
 # -- layer normalization --------------------------------------------------------------
 
+LN_EPS = 1e-6  # added to each position's variance
 
-def layer_norm(x: Tensor, w: LayerNormWeights, eps: float = 1e-6) -> Tensor:
+
+def layer_norm(x: Tensor, w: LayerNormWeights) -> Tensor:
     """Normalize across channels at every (n, h, w) position, then affine."""
     if x.ndim != 4:
         raise ShapeError(f"layer_norm expects (N, C, H, W), got {x.shape}")
@@ -452,7 +456,7 @@ def layer_norm(x: Tensor, w: LayerNormWeights, eps: float = 1e-6) -> Tensor:
     mu = xd.mean(axis=1, keepdims=True)
     xc = xd - mu
     var = np.mean(xc * xc, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     gam = w.gamma.data.reshape(1, c, 1, 1)
     out = xhat * gam + w.beta.data.reshape(1, c, 1, 1)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hcanet import cafm
 from hcanet.errors import ContractError, ShapeError
+from hcanet.nn import named_params
 from hcanet.tensor import Tensor
 
 
@@ -13,7 +14,7 @@ def make_weights(c=8, seed=0, **kw):
 
 
 def zero_all(w: cafm.CafmWeights):
-    for _, t in w.named_params():
+    for _, t in named_params(w):
         if t.ndim:  # keep alpha at its positive init
             t.data[...] = 0.0
     return w
@@ -130,7 +131,7 @@ class TestCafmForward:
 
     def test_degenerate_spectral_kernel_is_2d(self):
         w = make_weights(spectral_3d=False)
-        assert w.local_spectral.kernel.shape == (1, 1, 1, 3, 3)
+        assert w.local_3d.kernel.shape == (1, 1, 1, 3, 3)
 
 
 def test_cafm_gradients_match_finite_differences():

@@ -229,7 +229,9 @@ def test_denoise_checkpoint_claiming_a_million_blocks_exits_3(tmp_path, capsys):
     dict(shuffle_groups=0),  # a version-2 config names no shuffle_groups or gamma
     dict(gamma=1.5),
     dict(blocks_per_level=[2.5, 2, 2, 2]),
-], ids=["indivisible", "zero_groups", "float_gamma", "float_blocks"])
+    dict(msfn_enabled="false"),  # a string would pass for true
+    dict(bands=True),  # a bool would pass for 1
+], ids=["indivisible", "zero_groups", "float_gamma", "float_blocks", "string_switch", "bool_bands"])
 def test_denoise_checkpoint_with_an_invalid_config_exits_3(tmp_path, capsys, fields):
     model = checkpoint_with_header(tmp_path, **fields)
     src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
@@ -375,9 +377,12 @@ def test_train_unknown_section_exits_2(tmp_path, capsys):
     ("network", "levels", 2, 2),  # levels is len(blocks_per_level)
     ("network", "norm_enabled", True, 2),
     ("network", "shuffle_groups", 4, 2),
+    ("network", "msfn_enabled", "false", 2),  # would build the full MSFN network
+    ("network", "bands", True, 2),  # would pass as 1
 ], ids=["noise_list", "train_string", "blocks_int", "float_epochs", "float_batch_size",
         "removed_train_key", "loss_section", "float_noise_seed", "removed_network_gamma",
-        "removed_network_levels", "removed_network_norm_enabled", "removed_network_shuffle_groups"])
+        "removed_network_levels", "removed_network_norm_enabled", "removed_network_shuffle_groups",
+        "string_network_switch", "bool_network_bands"])
 def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, key, value, code):
     data_path, config_path = train_fixture(tmp_path)
     cfg = json.load(open(config_path, encoding="utf-8"))
@@ -421,6 +426,20 @@ def write_manifest(tmp_path, **fields):
 @pytest.mark.parametrize("field", ["rotations", "scales"])
 def test_train_empty_augmentation_list_exits_2(tmp_path, capsys, field):
     data_path = write_manifest(tmp_path, **{field: []})
+    assert main(["train", "--data", data_path, "--out", str(tmp_path / "r"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "training:" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1),  # the Philox key is unsigned
+    ("seed", 1.5),  # would train with key 1 while the manifest records 1.5
+    ("samples", "8"),
+    ("patch_size", [16, 16]),
+    ("cubes", [1]),
+], ids=["negative_seed", "float_seed", "string_samples", "two_patch_extents", "int_cube_name"])
+def test_train_mistyped_manifest_field_exits_2(tmp_path, capsys, field, value):
+    data_path = write_manifest(tmp_path, **{field: value})
     assert main(["train", "--data", data_path, "--out", str(tmp_path / "r"), "--epochs", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and "training:" not in err

@@ -122,7 +122,19 @@ class TestManifestAndDataset:
         {"rotations": ()},
         {"scales": ()},
         {"patch_size": (8, 12, 4), "rotations": ("identity", "rot270")},
-    ], ids=["no_rotations", "no_scales", "non_square_turned"])
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": 1 << 64},
+        {"samples": "8"},
+        {"samples": 0},
+        {"patch_size": (8, 8)},
+        {"patch_size": (8, 8, 0)},
+        {"patch_size": (8, 8.0, 4)},
+        {"cubes": ()},
+        {"cubes": (1,)},
+    ], ids=["no_rotations", "no_scales", "non_square_turned", "negative_seed", "float_seed", "huge_seed",
+            "string_samples", "zero_samples", "two_patch_extents", "zero_patch_bands", "float_patch_width",
+            "no_cubes", "int_cube_name"])
     def test_manifest_rejects_unusable_augmentation(self, fields):
         with pytest.raises(ConfigError):
             data.DatasetManifest(**{"cubes": ("a.hsic",), "patch_size": (8, 8, 4), **fields})

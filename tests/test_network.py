@@ -31,7 +31,9 @@ class TestConfig:
             NetworkConfig(bands=4, base_width=6)  # 4 shuffle groups
 
     @pytest.mark.parametrize("kw", [dict(refinement_blocks=1.5), dict(blocks_per_level=(1, 2.0)), dict(bands=0),
-                                    dict(base_width=0)])
+                                    dict(base_width=0), dict(bands=True), dict(base_width=np.int64(8)),
+                                    dict(refinement_blocks=False), dict(blocks_per_level=(1, True)),
+                                    dict(msfn_enabled="false"), dict(local_branch=0), dict(conv3d_enabled=None)])
     def test_non_integer_or_zero_sizes_rejected(self, kw):
         with pytest.raises(ConfigError):
             tiny_config(**kw)
@@ -164,7 +166,7 @@ class TestAblation:
         net = HcaNet(self.ladder()[0], seed=0)
         blk = net.enc_blocks[0][0]
         assert isinstance(blk.ffn, FfnWeights)
-        assert isinstance(blk.cafm, CafmWeights) and not blk.cafm.local_enabled
+        assert isinstance(blk.cafm, CafmWeights) and blk.cafm.local_pw is None and blk.cafm.local_3d is None
         assert net.stem_3d.kernel.shape[2] == 1  # no spectral extent
 
     def test_param_count_strictly_increases(self):

@@ -34,3 +34,8 @@ def test_every_conv_op_records_forward_and_backward_spans():
         "nn.conv_gemm.fwd", "nn.conv_gemm.bwd"]
     # the strided downsample is a plain conv2d call and still lands in nn._conv_gemm
     assert ["nn.conv_gemm.fwd", "down0"] in [[span[0], span[4]] for span in tracer.spans]
+    # the per-layer view reads module paths off parameter names: CAFM's branches and MSFN
+    paths = {(span[0], span[4]) for span in tracer.spans}
+    for module, path in (("cafm.local", "enc0.b0.cafm.local"), ("cafm.global", "enc0.b0.cafm.global"),
+                         ("cafm.attention", "enc0.b0.cafm.attention"), ("msfn", "enc0.b0.ffn")):
+        assert (module, path) in paths, module
