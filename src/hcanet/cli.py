@@ -3,8 +3,9 @@
 stdout carries exactly one machine-readable JSON document per command;
 diagnostics go to stderr.  Exit codes: 0 success, 2 configuration or usage
 error, 3 file or format error, 4 numerical failure.  Every command with file
-outputs writes a RunManifest beside them, canonical JSON with enough
-configuration (and input hashes) to reproduce the artifacts bit-for-bit.
+outputs writes a run manifest beside them (``_manifest``): canonical JSON
+(``records``) with the command, its configs, the SHA-256 of every input file
+and the output paths, enough to reproduce the artifacts bit-for-bit.
 
 Config precedence for `train`: command-line flags > --config file sections
 ("train", "network", "noise") > built-in defaults.  The noise-case ranges,
@@ -16,7 +17,6 @@ expansion and CAFM's shuffle groups (`msfn`, `cafm`).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, records
 from .data import DatasetManifest, PatchDataset, load_cube, save_cube
 from .errors import (
     ConfigError,
@@ -37,40 +37,14 @@ from .errors import (
 from .gradcheck import PRESETS
 from .metrics import evaluate
 from .network import HcaNet, NetworkConfig, desk_config
-from .noise import COLUMN_KINDS, MIN_COLUMNS, NoiseSpec, apply_noise
+from .noise import COLUMN_KINDS, KINDS, MIN_COLUMNS, NoiseSpec, apply_noise
 from .train import TrainConfig, train
 
 EXIT_CODES = {"ok": 0, "config": 2, "io": 3, "numerics": 4}
 
 # case token -> the NoiseSpec fields it sets (all but the seed)
-CASE_TOKENS = {
-    "g30": {"kind": "gaussian", "sigma": 30.0},
-    "g50": {"kind": "gaussian", "sigma": 50.0},
-    "g70": {"kind": "gaussian", "sigma": 70.0},
-    "blind": {"kind": "blind"},
-    "case1": {"kind": "case1"},
-    "case2": {"kind": "case2"},
-    "case3": {"kind": "case3"},
-    "case4": {"kind": "case4"},
-    "case5": {"kind": "case5"},
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    command: str
-    configs: dict
-    inputs: dict
-    outputs: tuple[str, ...]
-    seed: int | None = None
-    version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())
+CASE_TOKENS = {f"g{s}": {"kind": "gaussian", "sigma": float(s)} for s in (30, 50, 70)}
+CASE_TOKENS.update((kind, {"kind": kind}) for kind in KINDS if kind != "gaussian")
 
 
 def _sha256_file(path) -> str:
@@ -81,33 +55,33 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _manifest(path, command: str, configs: dict, inputs: dict, outputs, seed: int | None = None) -> None:
+    """Write the run manifest; ``inputs`` maps a role to a file path, recorded with its SHA-256."""
+    records.write(path, {
+        "command": command,
+        "configs": configs,
+        "inputs": {role: {"path": p, "sha256": _sha256_file(p)} for role, p in inputs.items()},
+        "outputs": outputs,
+        "seed": seed,
+        "version": __version__,
+    })
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+def _emit(doc) -> None:
+    print(records.dumps(doc))
 
 
 # -- simulate ---------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
-    cube = load_cube(args.input)
     spec = NoiseSpec(seed=args.seed, **CASE_TOKENS[args.case])
-    noisy, report = apply_noise(cube, spec)
+    noisy, report = apply_noise(load_cube(args.input), spec)
     save_cube(noisy, args.out)
     report_path = args.report or args.out + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as f:
-        f.write(report.to_json())
+    records.write(report_path, report)
     manifest_path = args.out + ".manifest.json"
-    RunManifest(
-        "simulate",
-        configs={"noise": json.loads(spec.to_json())},
-        inputs={"in": {"path": args.input, "sha256": _sha256_file(args.input)}},
-        outputs=(args.out, report_path),
-        seed=args.seed,
-    ).save(manifest_path)
+    _manifest(manifest_path, "simulate", {"noise": spec}, {"in": args.input}, [args.out, report_path], args.seed)
     _emit(
         {
             "case": args.case,
@@ -145,7 +119,7 @@ def _load_sections(path) -> dict:
 
 def _build(cls, kwargs: dict, what: str):
     try:
-        return cls(**kwargs)
+        return records.build(cls, kwargs)
     except TypeError as e:
         raise ConfigError(f"bad {what} config: {e}") from e
 
@@ -166,10 +140,6 @@ def cmd_train(args) -> int:
 
     nsec = dict(sections.get("network", {}))
     if nsec:
-        if "blocks_per_level" in nsec:
-            if not isinstance(nsec["blocks_per_level"], list):
-                raise ConfigError(f"network.blocks_per_level must be a list, got {nsec['blocks_per_level']!r}")
-            nsec["blocks_per_level"] = tuple(nsec["blocks_per_level"])
         nsec.setdefault("bands", bands)
         net_cfg = _build(NetworkConfig, nsec, "network")
     else:
@@ -201,17 +171,14 @@ def cmd_train(args) -> int:
     best = result.best_path if result.best_epoch >= 0 else None  # written only when validation ran
 
     manifest_path = os.path.join(args.out, "manifest.json")
-    RunManifest(
+    _manifest(
+        manifest_path,
         "train",
-        configs={
-            "network": json.loads(net_cfg.to_json()),
-            "noise": json.loads(noise_spec.to_json()),
-            "train": json.loads(train_cfg.to_json()),
-        },
-        inputs={"data": {"path": args.data, "sha256": _sha256_text(data_manifest.to_json())}},
-        outputs=tuple(p for p in (result.log_path, best, result.last_path) if p is not None),
-        seed=train_cfg.seed,
-    ).save(manifest_path)
+        {"network": net_cfg, "noise": noise_spec, "train": train_cfg},
+        {"data": args.data},
+        [p for p in (result.log_path, best, result.last_path) if p is not None],
+        train_cfg.seed,
+    )
 
     _emit(
         {
@@ -243,15 +210,8 @@ def cmd_denoise(args) -> int:
     restored = np.clip(net.denoise(cube), 0.0, 1.0)  # clip at export only
     save_cube(restored, args.out)
     manifest_path = args.out + ".manifest.json"
-    RunManifest(
-        "denoise",
-        configs={"network": json.loads(net.config.to_json())},
-        inputs={
-            "in": {"path": args.input, "sha256": _sha256_file(args.input)},
-            "model": {"path": args.model, "sha256": _sha256_file(args.model)},
-        },
-        outputs=(args.out,),
-    ).save(manifest_path)
+    inputs = {"in": args.input, "model": args.model}
+    _manifest(manifest_path, "denoise", {"network": net.config}, inputs, [args.out])
     _emit({"manifest": manifest_path, "out": args.out})
     return EXIT_CODES["ok"]
 
@@ -263,19 +223,9 @@ def cmd_eval(args) -> int:
     pred = load_cube(args.pred)
     ref = load_cube(args.ref)
     report = evaluate(pred, ref)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(report.to_json())
-    manifest_path = args.out + ".manifest.json"
-    RunManifest(
-        "eval",
-        configs={},
-        inputs={
-            "pred": {"path": args.pred, "sha256": _sha256_file(args.pred)},
-            "ref": {"path": args.ref, "sha256": _sha256_file(args.ref)},
-        },
-        outputs=(args.out,),
-    ).save(manifest_path)
-    print(report.to_json())
+    records.write(args.out, report)
+    _manifest(args.out + ".manifest.json", "eval", {}, {"pred": args.pred, "ref": args.ref}, [args.out])
+    _emit(report)
     return EXIT_CODES["ok"]
 
 
@@ -284,15 +234,14 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     result = PRESETS[args.preset]()
-    doc = result.to_dict()
     worst = result.worst()
     _emit(
         {
-            "checks": len(doc["checks"]),
-            "max_rel_err": doc["max_rel_err"],
-            "ok": doc["ok"],
+            "checks": len(result.checks),
+            "max_rel_err": result.max_rel_err,
+            "ok": result.ok,
             "preset": args.preset,
-            "tolerance": doc["tolerance"],
+            "tolerance": result.tolerance,
             "worst": worst.name,
         }
     )

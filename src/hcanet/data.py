@@ -17,10 +17,11 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import records
 from .errors import ConfigError, FormatError, ShapeError
 
 CUBE_MAGIC = b"HSIC"
@@ -107,7 +108,7 @@ def augment(patch: np.ndarray, op: str) -> np.ndarray:
 @dataclass(frozen=True)
 class DatasetManifest:
     cubes: tuple[str, ...]
-    patch_size: tuple[int, int, int] = (128, 128, 31)
+    patch_size: tuple[int, int, int]
     scales: tuple[float, ...] = SCALES
     rotations: tuple[str, ...] = ROTATIONS
     samples: int = 20_000
@@ -115,13 +116,14 @@ class DatasetManifest:
     val_fraction: float = 0.05
 
     def __post_init__(self):
-        if not self.cubes or any(type(c) is not str for c in self.cubes):
+        # len, not truth, so that a null list is a malformed file (TypeError), not an empty one
+        if not len(self.cubes) or any(type(c) is not str for c in self.cubes):
             raise ConfigError(f"cubes must be a non-empty list of file names, got {self.cubes!r}")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if not self.rotations or any(r not in ROTATIONS for r in self.rotations):
+        if not len(self.rotations) or any(r not in ROTATIONS for r in self.rotations):
             raise ConfigError(f"rotations must be a non-empty selection from {ROTATIONS}")
-        if not self.scales or any(s <= 0 or s > 1 for s in self.scales):
+        if not len(self.scales) or any(s <= 0 or s > 1 for s in self.scales):
             raise ConfigError("scales must be a non-empty list of factors in (0, 1]")
         # a manifest is outside input: a mistyped value would crash the dataset build, or a
         # float seed be truncated to a different Philox key than the one recorded
@@ -137,27 +139,17 @@ class DatasetManifest:
             # a quarter turn swaps the patch's rows and columns, so one batch would mix two shapes
             raise ConfigError(f"rotations {turned} need a square patch, got {ph}x{pw}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "DatasetManifest":
-        try:
-            d = json.loads(text)
-            for k in ("cubes", "patch_size", "scales", "rotations"):
-                d[k] = tuple(d[k])
-            return DatasetManifest(**d)
-        except (ValueError, TypeError, KeyError) as e:
-            raise FormatError(f"bad DatasetManifest JSON: {e}") from e
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())
+        records.write(path, self)
 
     @staticmethod
     def load(path) -> "DatasetManifest":
-        with open(path, encoding="utf-8") as f:
-            return DatasetManifest.from_json(f.read())
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            return records.build(DatasetManifest, json.loads(raw.decode("utf-8")))
+        except (ValueError, TypeError) as e:
+            raise FormatError(f"{path}: bad DatasetManifest JSON: {e}") from e
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ and network presets sample coordinates to stay fast.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -44,14 +43,6 @@ class GradCheckResult:
 
     def worst(self) -> ParamCheck:
         return max(self.checks, key=lambda c: c.rel_err)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "max_rel_err": self.max_rel_err,
-            "tolerance": self.tolerance,
-            "checks": [dataclasses.asdict(c) for c in self.checks],
-        }
 
 
 def check_gradients(

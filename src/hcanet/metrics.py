@@ -15,8 +15,7 @@ skipped and counted.  All computation is float64.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +40,6 @@ class MetricReport:
     psnr_per_band: list[float]
     ssim_per_band: list[float]
     sam_skipped_pixels: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def _check_cubes(pred: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,12 +26,12 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from . import nn
+from . import nn, records
 from .cafm import SHUFFLE_GROUPS, CafmWeights, cafm_forward, init_cafm
 from .errors import ConfigError, FormatError, ShapeError
 from .msfn import FfnWeights, MsfnWeights, ffn_forward, init_ffn, init_msfn, msfn_forward
@@ -65,6 +65,8 @@ class NetworkConfig:
     msfn_enabled: bool = True
 
     def __post_init__(self):
+        if type(self.blocks_per_level) is not tuple:
+            raise ConfigError(f"blocks_per_level must be a list of counts, got {self.blocks_per_level!r}")
         counts = (self.bands, self.base_width, self.refinement_blocks, *self.blocks_per_level)
         # a stored config is outside input: a float count would fail deep inside the build,
         # a bool would pass for a count, and a string switch ("false") for true
@@ -87,18 +89,6 @@ class NetworkConfig:
 
     def width(self, level: int) -> int:
         return self.base_width * (1 << level)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "NetworkConfig":
-        try:
-            d = json.loads(text)
-            d["blocks_per_level"] = tuple(d["blocks_per_level"])
-            return NetworkConfig(**d)
-        except (ValueError, TypeError, KeyError, ConfigError) as e:
-            raise FormatError(f"bad NetworkConfig JSON: {e}") from e
 
 
 def paper_config(bands: int = 31) -> NetworkConfig:
@@ -286,7 +276,7 @@ class HcaNet:
     def _write(self, f: BinaryIO) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        cfg = self.config.to_json().encode("utf-8")
+        cfg = records.dumps(self.config).encode("utf-8")
         f.write(struct.pack("<I", len(cfg)))
         f.write(cfg)
         params = list(self.named_params())
@@ -319,7 +309,11 @@ class HcaNet:
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", take(4))
-        config = NetworkConfig.from_json(take(clen).decode("utf-8"))
+        header = take(clen)
+        try:
+            config = records.build(NetworkConfig, json.loads(header.decode("utf-8")))
+        except (ValueError, TypeError, ConfigError) as e:
+            raise FormatError(f"bad NetworkConfig JSON: {e}") from e
         pos = f.tell()
         left = f.seek(0, io.SEEK_END) - pos
         f.seek(pos)
@@ -344,7 +338,7 @@ class HcaNet:
             raise FormatError(f"checkpoint has {count} tensors, model needs {len(expected)}")
         for _ in range(count):
             (nlen,) = struct.unpack("<I", take(4))
-            name = take(nlen).decode("utf-8")
+            name = take(nlen).decode("utf-8", "replace")  # a mangled name is then unknown
             t = expected.pop(name, None)  # popped, so no blank tensor survives a repeated name
             if t is None:
                 raise FormatError(f"unknown or repeated tensor {name!r} in checkpoint")

@@ -23,9 +23,8 @@ the fixed Gaussian sigma.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,14 +67,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}, expected one of {KINDS}")
-        # _stream would truncate a float seed while the manifest records it whole
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"noise seed must be an integer, got {self.seed!r}")
-        if not 0 < self.sigma <= 255:
-            raise ConfigError(f"sigma must be in (0, 255], got {self.sigma}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # _stream keys Philox with the seed's low 64 bits: a float seed would be truncated, and a
+        # seed outside [0, 2**64) alias another, while the manifest records the seed whole
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"noise seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if type(self.sigma) is bool or not 0 < self.sigma <= 255:
+            raise ConfigError(f"sigma must be in (0, 255], got {self.sigma!r}")
 
 
 @dataclass
@@ -114,9 +111,6 @@ class DegradationReport:
     stripe: list[StripeEntry] = field(default_factory=list)
     deadline: list[DeadlineEntry] = field(default_factory=list)
     impulse: list[ImpulseEntry] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def _check_cube(x: np.ndarray) -> np.ndarray:

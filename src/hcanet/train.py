@@ -18,13 +18,13 @@ seed.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import records
 from .data import PatchDataset
 from .errors import ConfigError, NumericsError
 from .loss import total_loss
@@ -49,18 +49,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a float count would fail only after the network is built
-        if not all(isinstance(v, int) for v in (self.epochs, self.batch_size, self.seed)):
+        # a float count would fail only after the network is built, a bool pass for 1, and a
+        # seed outside [0, 2**64) alias another Philox key than the one recorded
+        if not all(type(v) is int for v in (self.epochs, self.batch_size, self.seed)):
             raise ConfigError(f"epochs, batch_size and seed must be integers, got {self}")
         if self.epochs <= 0:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not all(type(v) is not bool and math.isfinite(v) for v in (self.lr0, self.lr_final)):
+            raise ConfigError(f"lr0 and lr_final must be finite numbers, got {self}")
         if not self.lr0 > self.lr_final > 0:
             raise ConfigError(f"need lr0 > lr_final > 0, got lr0={self.lr0}, lr_final={self.lr_final}")
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -268,7 +270,7 @@ def train(
                         net.save(result.best_path)
             result.history.append(record)
             if log_file is not None:
-                log_file.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+                log_file.write(records.dumps(record) + "\n")
                 log_file.flush()
             if out_dir is not None:
                 net.save(result.last_path)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from hcanet import records
 from hcanet.cli import main
 from hcanet.data import DatasetManifest, load_cube, save_cube, synthetic_cube
 from hcanet.network import HcaNet, NetworkConfig
@@ -78,6 +79,16 @@ def test_simulate_missing_input_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)], ids=["negative", "past_64_bits"])
+def test_simulate_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    # the Philox key is the seed's low 64 bits, so -1 would write the cube of 2**64 - 1
+    src = write_cube(tmp_path, "clean.hsic")
+    out = str(tmp_path / "x.hsic")
+    assert main(["simulate", "--in", src, "--case", "g30", "--seed", seed, "--out", out]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_simulate_lying_header_exits_3(tmp_path, capsys):
@@ -184,7 +195,7 @@ def checkpoint_with_header(tmp_path, version=None, **fields):
 
     from hcanet.network import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, paper_config
 
-    doc = json.loads(paper_config(4).to_json())
+    doc = json.loads(records.dumps(paper_config(4)))
     doc.update(fields)
     cfg = json.dumps(doc).encode("utf-8")
     head = struct.pack("<II", CHECKPOINT_VERSION if version is None else version, len(cfg))
@@ -237,6 +248,21 @@ def test_denoise_checkpoint_with_an_invalid_config_exits_3(tmp_path, capsys, fie
     src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
     assert main(["denoise", "--model", model, "--in", src, "--out", str(tmp_path / "o.hsic")]) == 3
     assert "bad NetworkConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config_header", "tensor_name"])
+def test_denoise_checkpoint_that_is_not_utf8_exits_3(tmp_path, capsys, where):
+    import struct
+
+    model = tiny_checkpoint(tmp_path)
+    with open(model, "r+b") as f:
+        (clen,) = struct.unpack("<I", f.read(12)[8:])
+        # the header's opening brace, or the first byte of the first tensor's name
+        f.seek(12 if where == "config_header" else 12 + clen + 8)
+        f.write(b"\xff")
+    src = write_cube(tmp_path, "in.hsic", h=16, w=16, b=4)
+    assert main(["denoise", "--model", model, "--in", src, "--out", str(tmp_path / "o.hsic")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_denoise_version_1_checkpoint_exits_3(tmp_path, capsys):
@@ -379,10 +405,22 @@ def test_train_unknown_section_exits_2(tmp_path, capsys):
     ("network", "shuffle_groups", 4, 2),
     ("network", "msfn_enabled", "false", 2),  # would build the full MSFN network
     ("network", "bands", True, 2),  # would pass as 1
+    ("train", "epochs", True, 2),  # would train one epoch
+    ("train", "batch_size", True, 2),
+    ("train", "seed", True, 2),
+    ("train", "seed", -1, 2),  # the Philox key is unsigned
+    ("train", "seed", 1 << 64, 2),  # would alias seed 0
+    ("train", "lr0", True, 2),
+    ("train", "lr0", math.inf, 2),
+    ("noise", "seed", -1, 2),
+    ("noise", "seed", 1 << 64, 2),
+    ("noise", "sigma", True, 2),
 ], ids=["noise_list", "train_string", "blocks_int", "float_epochs", "float_batch_size",
         "removed_train_key", "loss_section", "float_noise_seed", "removed_network_gamma",
         "removed_network_levels", "removed_network_norm_enabled", "removed_network_shuffle_groups",
-        "string_network_switch", "bool_network_bands"])
+        "string_network_switch", "bool_network_bands", "bool_epochs", "bool_batch_size", "bool_train_seed",
+        "negative_train_seed", "huge_train_seed", "bool_lr0", "infinite_lr0", "negative_noise_seed",
+        "huge_noise_seed", "bool_sigma"])
 def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, key, value, code):
     data_path, config_path = train_fixture(tmp_path)
     cfg = json.load(open(config_path, encoding="utf-8"))
@@ -394,7 +432,15 @@ def test_train_malformed_config_exits_with_a_message(tmp_path, capsys, section, 
         json.dump(cfg, f)
     assert main(["train", "--config", config_path, "--data", data_path, "--out", str(tmp_path / "r")]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and (key or section) in err
+    assert err.startswith("error: ") and (key or section) in err and "training:" not in err
+
+
+def test_train_negative_seed_flag_exits_2(tmp_path, capsys):
+    data_path, config_path = train_fixture(tmp_path)
+    out = str(tmp_path / "r")
+    assert main(["train", "--config", config_path, "--data", data_path, "--out", out, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "training:" not in err
 
 
 @pytest.mark.parametrize("patch_size, rotations", [
@@ -411,16 +457,46 @@ def test_train_narrow_patches_fail_before_the_network_is_built(tmp_path, capsys,
     assert "20 columns" in err and "training:" not in err
 
 
-def write_manifest(tmp_path, **fields):
+def write_manifest(tmp_path, drop=(), **fields):
     # written by hand: DatasetManifest itself refuses the values these tests feed the CLI
     cube = write_cube(tmp_path, "train.hsic", h=40, w=40, b=4, seed=3)
     doc = {"cubes": [cube], "patch_size": [16, 16, 4], "scales": [1.0], "rotations": ["identity"],
            "samples": 8, "seed": 5, "val_fraction": 0.0}
     doc.update(fields)
+    for key in drop:
+        del doc[key]
     path = str(tmp_path / "data.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
     return path
+
+
+def test_train_manifest_without_patch_size_exits_3(tmp_path, capsys):
+    # patch_size has no default: the patch shape is the one thing a dataset cannot guess
+    data_path = write_manifest(tmp_path, drop=("patch_size",))
+    assert main(["train", "--data", data_path, "--out", str(tmp_path / "r"), "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "patch_size" in err and "training:" not in err
+
+
+@pytest.mark.parametrize("field", ["cubes", "scales", "rotations"])
+def test_train_manifest_with_a_null_list_exits_3(tmp_path, capsys, field):
+    # null is no list at all, a malformed file rather than an empty selection
+    data_path = write_manifest(tmp_path, **{field: None})
+    assert main(["train", "--data", data_path, "--out", str(tmp_path / "r"), "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "training:" not in err
+
+
+def test_train_manifest_that_is_not_utf8_exits_3(tmp_path, capsys):
+    data_path = write_manifest(tmp_path)
+    with open(data_path, "rb") as f:
+        raw = f.read()
+    with open(data_path, "wb") as f:
+        f.write(b"\xff\xfe" + raw)
+    assert main(["train", "--data", data_path, "--out", str(tmp_path / "r"), "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "training:" not in err
 
 
 @pytest.mark.parametrize("field", ["rotations", "scales"])
@@ -526,3 +602,25 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             found.update({f"{name}: {r}": r for r in roots if r not in allowed})
     assert not found, sorted(found)
+
+
+def test_only_records_encodes_json():
+    # one canonical encoding: every record the package writes goes through hcanet.records
+    import ast
+
+    import hcanet
+
+    pkg = os.path.dirname(os.path.abspath(hcanet.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "records.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found

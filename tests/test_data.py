@@ -114,9 +114,16 @@ class TestManifestAndDataset:
                                  samples=samples, seed=5)
         return data.PatchDataset(m)
 
-    def test_manifest_json_roundtrip(self):
+    def test_manifest_json_roundtrip(self, tmp_path):
         m = data.DatasetManifest(cubes=("a.hsic",), patch_size=(8, 8, 4), samples=10)
-        assert data.DatasetManifest.from_json(m.to_json()) == m
+        m.save(tmp_path / "m.json")
+        assert data.DatasetManifest.load(tmp_path / "m.json") == m
+
+    def test_manifest_without_augmentation_lists_gets_the_paper_recipe(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"cubes":["a.hsic"],"patch_size":[8,8,4]}', encoding="utf-8")
+        m = data.DatasetManifest.load(path)
+        assert m.scales == data.SCALES and m.rotations == data.ROTATIONS
 
     @pytest.mark.parametrize("fields", [
         {"rotations": ()},

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcanet import metrics
+from hcanet import metrics, records
 from hcanet.errors import ConfigError, MetricError, ShapeError
 
 
@@ -180,7 +180,7 @@ class TestReport:
 
         x = cube(15)
         rep = metrics.evaluate(x + 0.1, x)
-        d = json.loads(rep.to_json())
+        d = json.loads(records.dumps(rep))
         assert set(d) == {"psnr_db", "ssim", "sam_rad", "psnr_per_band", "ssim_per_band",
                           "sam_skipped_pixels"}
         assert len(d["psnr_per_band"]) == 4
@@ -192,4 +192,4 @@ class TestReport:
         rng = np.random.default_rng(seed)
         p, r = rng.random((12, 12, 3)), rng.random((12, 12, 3))
         a, b = metrics.evaluate(p, r), metrics.evaluate(p, r)
-        assert a.to_json() == b.to_json()
+        assert records.dumps(a) == records.dumps(b)

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import io
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from hcanet import records
 from hcanet.cafm import CafmWeights
 from hcanet.errors import ConfigError, FormatError, ShapeError
 from hcanet.msfn import FfnWeights, MsfnWeights
@@ -33,19 +35,20 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [dict(refinement_blocks=1.5), dict(blocks_per_level=(1, 2.0)), dict(bands=0),
                                     dict(base_width=0), dict(bands=True), dict(base_width=np.int64(8)),
                                     dict(refinement_blocks=False), dict(blocks_per_level=(1, True)),
-                                    dict(msfn_enabled="false"), dict(local_branch=0), dict(conv3d_enabled=None)])
+                                    dict(msfn_enabled="false"), dict(local_branch=0), dict(conv3d_enabled=None),
+                                    dict(blocks_per_level=2), dict(blocks_per_level=[1, 1])])
     def test_non_integer_or_zero_sizes_rejected(self, kw):
         with pytest.raises(ConfigError):
             tiny_config(**kw)
 
     def test_json_roundtrip(self):
         cfg = tiny_config(msfn_enabled=False)
-        assert NetworkConfig.from_json(cfg.to_json()) == cfg
+        assert records.build(NetworkConfig, json.loads(records.dumps(cfg))) == cfg
 
     def test_json_is_canonical(self):
-        s = tiny_config().to_json()
+        s = records.dumps(tiny_config())
         assert ": " not in s and ", " not in s
-        keys = list(__import__("json").loads(s))
+        keys = list(json.loads(s))
         assert keys == sorted(keys)
 
 
@@ -239,6 +242,20 @@ class TestCheckpoint:
         net._write(buf)
         with pytest.raises(FormatError, match="repeated"):
             HcaNet._read(io.BytesIO(buf.getvalue()))
+
+    def test_header_may_omit_a_field_with_a_default(self, tmp_path):
+        # the same rule as a dataset manifest: a field with a default may be left out
+        net = HcaNet(NetworkConfig(bands=2, base_width=4), seed=10)
+        buf = io.BytesIO()
+        net._write(buf)
+        raw = buf.getvalue()
+        (clen,) = struct.unpack("<I", raw[8:12])
+        doc = json.loads(raw[12 : 12 + clen])
+        del doc["blocks_per_level"], doc["refinement_blocks"]
+        head = json.dumps(doc).encode("utf-8")
+        p = tmp_path / "model.hcaw"
+        p.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + clen :])
+        assert HcaNet.load(p).config == net.config
 
     def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
         net = HcaNet(tiny_config(), seed=10)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcanet import noise
+from hcanet import noise, records
 from hcanet.errors import ConfigError, ContractError
 
 
@@ -205,7 +205,7 @@ class TestCases:
             a, ra = case(x, kind, seed=17)
             b, rb = case(x, kind, seed=17)
             assert bits_equal(a, b)
-            assert ra.to_json() == rb.to_json()
+            assert records.dumps(ra) == records.dumps(rb)
 
     def test_bad_case_id(self):
         with pytest.raises(ConfigError):
@@ -216,11 +216,18 @@ class TestSpecAndDispatch:
     def test_spec_json_roundtrip(self):
         # a manifest's "noise" section is a valid --config section
         spec = noise.NoiseSpec(kind="case2", seed=42, sigma=40.0)
-        assert noise.NoiseSpec(**json.loads(spec.to_json())) == spec
+        assert records.build(noise.NoiseSpec, json.loads(records.dumps(spec))) == spec
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             noise.NoiseSpec(kind="speckle", seed=0)
+
+    @pytest.mark.parametrize("fields", [dict(seed=-1), dict(seed=1 << 64), dict(seed=True), dict(seed=1.5),
+                                        dict(seed=0, sigma=True)])
+    def test_spec_rejects_seeds_past_64_bits_and_bools(self, fields):
+        # the Philox key is the seed's low 64 bits: -1 would alias 2**64 - 1, and 2**64 alias 0
+        with pytest.raises(ConfigError):
+            noise.NoiseSpec(kind="gaussian", **fields)
 
     def test_blind_sigma_within_range_and_deterministic(self):
         x = clean()
@@ -240,11 +247,11 @@ class TestSpecAndDispatch:
 
     def test_report_json_is_canonical(self):
         _, rep = case(clean(), "case2", seed=21)
-        s = rep.to_json()
+        s = records.dumps(rep)
         assert ": " not in s and ", " not in s
 
 
-# SHA-256 of the output bytes and of report.to_json(), per shape and kind, for
+# SHA-256 of the output bytes and of records.dumps(report), per shape and kind, for
 # apply_noise(clean(*shape, seed=B), NoiseSpec(kind, seed=23)).  Any change to
 # a draw, its order or its stream key moves these.
 PINNED = {
@@ -287,5 +294,5 @@ PINNED = {
 @pytest.mark.parametrize("kind", noise.KINDS)
 def test_outputs_and_reports_are_pinned(shape, kind):
     y, rep = case(clean(*shape, seed=shape[2]), kind, seed=23)
-    got = (hashlib.sha256(y.tobytes()).hexdigest(), hashlib.sha256(rep.to_json().encode()).hexdigest())
+    got = (hashlib.sha256(y.tobytes()).hexdigest(), hashlib.sha256(records.dumps(rep).encode()).hexdigest())
     assert got == PINNED[shape][kind]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcanet import records
 from hcanet.data import DatasetManifest, PatchDataset, save_cube, synthetic_cube
 from hcanet.errors import ConfigError, NumericsError
 from hcanet.loss import total_loss
@@ -78,6 +79,14 @@ def test_config_defaults_are_valid():
         {"seed": 1.5},
         {"lr0": 1e-4, "lr_final": 1e-4},
         {"seed": "0"},
+        {"epochs": True},
+        {"batch_size": True},
+        {"seed": True},
+        {"seed": -1},
+        {"seed": 1 << 64},
+        {"lr0": True},
+        {"lr0": math.inf},
+        {"lr0": 1e-4, "lr_final": math.nan},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -88,9 +97,9 @@ def test_config_rejects_bad_values(kwargs):
 def test_config_json_roundtrip():
     cfg = TrainConfig(epochs=7, batch_size=3, lr0=2e-3, lr_final=1e-5, seed=9)
     # a manifest's "train" section is a valid --config section
-    assert TrainConfig(**json.loads(cfg.to_json())) == cfg
+    assert records.build(TrainConfig, json.loads(records.dumps(cfg))) == cfg
     with pytest.raises(ConfigError):
-        TrainConfig(**json.loads('{"epochs": "many"}'))
+        records.build(TrainConfig, json.loads('{"epochs": "many"}'))
 
 
 # -- learning-rate schedule ------------------------------------------------------
