@@ -107,12 +107,11 @@ def global_branch(y: Tensor, w: CafmWeights) -> Tensor:
     q = reshape(slice_(qkv, (slice(None), slice(0, c))), (n, c, h * wd))
     k = reshape(slice_(qkv, (slice(None), slice(c, 2 * c))), (n, c, h * wd))
     v = reshape(slice_(qkv, (slice(None), slice(2 * c, 3 * c))), (n, c, h * wd))
-    q_hat = permute(q, (0, 2, 1))  # (N, HW, C)
-    v_hat = permute(v, (0, 2, 1))  # (N, HW, C)
-    a = attention_map(q_hat, k, w.alpha)  # (N, C, C)
-    att = matmul(v_hat, a)  # (N, HW, C)
-    att = reshape(permute(att, (0, 2, 1)), (n, c, h, wd))
-    return add(conv2d(att, w.out_pw), y)
+    # Q_hat is a transposed view; V_hat A is computed transposed, as A^T V in
+    # the (C, HW) layout, so no HW x C copy is made
+    a = attention_map(permute(q, (0, 2, 1)), k, w.alpha)  # (N, C, C)
+    att = matmul(permute(a, (0, 2, 1)), v)  # (N, C, HW)
+    return add(conv2d(reshape(att, (n, c, h, wd)), w.out_pw), y)
 
 
 def cafm_forward(y: Tensor, w: CafmWeights) -> Tensor:

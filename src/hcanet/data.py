@@ -119,12 +119,12 @@ class DatasetManifest:
         # len, not truth, so that a null list is a malformed file (TypeError), not an empty one
         if not len(self.cubes) or any(type(c) is not str for c in self.cubes):
             raise ConfigError(f"cubes must be a non-empty list of file names, got {self.cubes!r}")
-        if not 0 <= self.val_fraction < 1:
-            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if type(self.val_fraction) not in (int, float) or not 0 <= self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must be a number in [0, 1), got {self.val_fraction!r}")
         if not len(self.rotations) or any(r not in ROTATIONS for r in self.rotations):
             raise ConfigError(f"rotations must be a non-empty selection from {ROTATIONS}")
-        if not len(self.scales) or any(s <= 0 or s > 1 for s in self.scales):
-            raise ConfigError("scales must be a non-empty list of factors in (0, 1]")
+        if not len(self.scales) or not all(type(s) in (int, float) and 0 < s <= 1 for s in self.scales):
+            raise ConfigError(f"scales must be a non-empty list of factors in (0, 1], got {self.scales!r}")
         # a manifest is outside input: a mistyped value would crash the dataset build, or a
         # float seed be truncated to a different Philox key than the one recorded
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -188,9 +189,9 @@ def _deadline_band(y: np.ndarray, band: int, seed: int) -> DeadlineEntry:
     while remaining > 0:
         width = min(int(st.integers(1, 4)), remaining)
         while width >= 1:
-            starts = [s for s in range(w - width + 1) if free[s : s + width].all()]
-            if starts:
-                s = starts[int(st.integers(0, len(starts)))]
+            starts = np.flatnonzero(sliding_window_view(free, width).all(axis=1))
+            if starts.size:
+                s = int(starts[int(st.integers(0, starts.size))])
                 free[s : s + width] = False
                 dead.extend(range(s, s + width))
                 remaining -= width

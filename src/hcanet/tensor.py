@@ -125,11 +125,13 @@ class _Node:
 
 
 class Tensor:
-    """A dense row-major float array, optionally tracked on the tape.
+    """A float array, optionally tracked on the tape.
 
-    ``data`` is immutable by convention after construction; only ``grad`` is
-    written to (by ``backward``) and ``data`` (by the optimizer, which owns
-    the parameters single-writer).
+    ``data`` may be a strided view that shares memory with another tensor's
+    (``permute`` returns one), so an op must not rely on its layout or write
+    it in place.  ``data`` is immutable by convention after construction;
+    only ``grad`` is written to (by ``backward``) and a parameter's ``data``
+    (by the optimizer, which owns the parameters single-writer).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -406,13 +408,12 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
+    """Axes reordered as a view, with no copy (``reshape`` copies when it must)."""
     axes = tuple(axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"permute: axes {axes} invalid for ndim {x.ndim}")
     inv = np.argsort(axes)
-    return Tensor._from_op(
-        np.ascontiguousarray(np.transpose(x.data, axes)), "permute", (x,), lambda g: (np.transpose(g, inv),)
-    )
+    return Tensor._from_op(np.transpose(x.data, axes), "permute", (x,), lambda g: (np.transpose(g, inv),))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -81,6 +81,13 @@ def test_simulate_missing_input_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_into_a_missing_directory_exits_3(tmp_path, capsys):
+    src = write_cube(tmp_path, "clean.hsic")
+    code = main(["simulate", "--in", src, "--case", "g30", "--out", str(tmp_path / "no" / "x.hsic")])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)], ids=["negative", "past_64_bits"])
 def test_simulate_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
     # the Philox key is the seed's low 64 bits, so -1 would write the cube of 2**64 - 1
@@ -513,7 +520,10 @@ def test_train_empty_augmentation_list_exits_2(tmp_path, capsys, field):
     ("samples", "8"),
     ("patch_size", [16, 16]),
     ("cubes", [1]),
-], ids=["negative_seed", "float_seed", "string_samples", "two_patch_extents", "int_cube_name"])
+    ("scales", [True]),  # would pass as factor 1
+    ("val_fraction", False),
+], ids=["negative_seed", "float_seed", "string_samples", "two_patch_extents", "int_cube_name", "bool_scale",
+        "bool_val_fraction"])
 def test_train_mistyped_manifest_field_exits_2(tmp_path, capsys, field, value):
     data_path = write_manifest(tmp_path, **{field: value})
     assert main(["train", "--data", data_path, "--out", str(tmp_path / "r"), "--epochs", "1"]) == 2
@@ -578,21 +588,27 @@ def test_model_commands_load_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def package_trees():
+    """(file name, parsed module) for every module of the installed package."""
+    import ast
+
+    import hcanet
+
+    pkg = os.path.dirname(os.path.abspath(hcanet.__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as f:
+                yield name, ast.parse(f.read(), name)
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # a static guard, so that a runtime dependency cannot creep back in
     import ast
     import sys
 
-    import hcanet
-
     allowed = set(sys.stdlib_module_names) | {"numpy", "hcanet"}
-    pkg = os.path.dirname(os.path.abspath(hcanet.__file__))
     found = {}
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(pkg, name), encoding="utf-8") as f:
-            tree = ast.parse(f.read(), name)
+    for name, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 roots = [a.name.split(".")[0] for a in node.names]
@@ -608,15 +624,10 @@ def test_only_records_encodes_json():
     # one canonical encoding: every record the package writes goes through hcanet.records
     import ast
 
-    import hcanet
-
-    pkg = os.path.dirname(os.path.abspath(hcanet.__file__))
     found = []
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py") or name == "records.py":
+    for name, tree in package_trees():
+        if name == "records.py":
             continue
-        with open(os.path.join(pkg, name), encoding="utf-8") as f:
-            tree = ast.parse(f.read(), name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
                 if isinstance(node.value, ast.Name) and node.value.id == "json":
@@ -624,3 +635,4 @@ def test_only_records_encodes_json():
             elif isinstance(node, ast.ImportFrom) and node.module == "json":
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+

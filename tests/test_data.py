@@ -139,9 +139,15 @@ class TestManifestAndDataset:
         {"patch_size": (8, 8.0, 4)},
         {"cubes": ()},
         {"cubes": (1,)},
+        {"scales": (True,)},
+        {"scales": ("0.5",)},
+        {"scales": (float("nan"),)},
+        {"val_fraction": False},
+        {"val_fraction": "0.1"},
     ], ids=["no_rotations", "no_scales", "non_square_turned", "negative_seed", "float_seed", "huge_seed",
             "string_samples", "zero_samples", "two_patch_extents", "zero_patch_bands", "float_patch_width",
-            "no_cubes", "int_cube_name"])
+            "no_cubes", "int_cube_name", "bool_scale", "string_scale", "nan_scale", "bool_val_fraction",
+            "string_val_fraction"])
     def test_manifest_rejects_unusable_augmentation(self, fields):
         with pytest.raises(ConfigError):
             data.DatasetManifest(**{"cubes": ("a.hsic",), "patch_size": (8, 8, 4), **fields})

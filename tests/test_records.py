@@ -22,3 +22,10 @@ def test_dumps_refuses_what_is_not_a_record():
 def test_build_needs_a_json_object(fields):
     with pytest.raises(TypeError):
         records.build(NoiseSpec, fields)
+
+
+def test_write_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_bytes(b"x" * 4096)
+    records.write(path, {"a": 1})
+    assert path.read_bytes() == b'{"a":1}'
